@@ -34,12 +34,9 @@ struct PerfEntry {
   double BitvectorMqps = 0.0;
 };
 
-/// The pinned corpus: names accepted by the built-in model factories, in
-/// report order.
-const std::vector<std::string> &perfCorpus();
-
-/// Measures every corpus machine, taking the min of \p Repeats runs per
-/// metric (min-of-N is the standard noise filter for wall-clock gates).
+/// Measures every catalog machine (machineNames(), in that order), taking
+/// the min of \p Repeats runs per metric (min-of-N is the standard noise
+/// filter for wall-clock gates).
 std::vector<PerfEntry> measurePerfCorpus(int Repeats);
 
 /// Writes entries as the "rmd-bench-v1" JSON document.

@@ -26,7 +26,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "machines/MachineModel.h"
+#include "machines/MachineCatalog.h"
 #include "query/BitvectorQuery.h"
 #include "query/DiscreteQuery.h"
 #include "reduce/Reduction.h"
@@ -45,25 +45,13 @@ using namespace rmd;
 
 namespace {
 
-MachineDescription machineByName(const std::string &Name) {
-  if (Name == "fig1")
-    return makeFig1Machine();
-  if (Name == "cydra5")
-    return makeCydra5().MD;
-  if (Name == "alpha21064")
-    return makeAlpha21064().MD;
-  if (Name == "mips-r3000")
-    return makeMipsR3000().MD;
-  if (Name == "toy-vliw")
-    return makeToyVliw().MD;
-  if (Name == "playdoh")
-    return makePlayDoh().MD;
-  if (Name == "m88100")
-    return makeM88100().MD;
-  std::cerr << "unknown machine '" << Name
-            << "' (try: fig1 cydra5 alpha21064 mips-r3000 toy-vliw playdoh "
-               "m88100)\n";
-  std::exit(2);
+MachineDescription machineDescription(const std::string &Name) {
+  Expected<MachineModel> Model = machineByName(Name);
+  if (!Model) {
+    std::cerr << Model.status().message() << "\n";
+    std::exit(2);
+  }
+  return std::move(Model.value().MD);
 }
 
 int usage() {
@@ -77,7 +65,7 @@ int usage() {
 }
 
 int runRecord(const std::string &MachineName, uint64_t Seed, int Steps) {
-  MachineDescription MD = machineByName(MachineName);
+  MachineDescription MD = machineDescription(MachineName);
   ExpandedMachine EM = expandAlternatives(MD);
 
   QueryTraceLog Log;
@@ -103,7 +91,7 @@ int runRecord(const std::string &MachineName, uint64_t Seed, int Steps) {
 
 int runReplay(const std::string &MachineName, const std::string &Repr,
               const std::string &Desc) {
-  MachineDescription MD = machineByName(MachineName);
+  MachineDescription MD = machineDescription(MachineName);
   ExpandedMachine EM = expandAlternatives(MD);
   MachineDescription Reduced = reduceMachine(EM.Flat).Reduced;
   const MachineDescription &Target =
@@ -162,7 +150,7 @@ int runReplay(const std::string &MachineName, const std::string &Repr,
 }
 
 int runShadow(const std::string &MachineName) {
-  MachineDescription MD = machineByName(MachineName);
+  MachineDescription MD = machineDescription(MachineName);
   ExpandedMachine EM = expandAlternatives(MD);
   MachineDescription Reduced = reduceMachine(EM.Flat).Reduced;
 

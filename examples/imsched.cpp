@@ -7,12 +7,13 @@
 // the kernel view.
 //
 // Usage:
-//   imsched [--machine=cydra5|alpha21064|mips|playdoh|toyvliw]
-//           [--mdl=<machine.mdl>] [--budget=<ratio>]
+//   imsched [--machine=<name>] [--mdl=<machine.mdl>] [--budget=<ratio>]
 //           [--deadline-ms=<n>] [--faults=<spec>] [loop.graph | -]
 //
-// With no loop file, schedules a built-in sample (the tri-diagonal
-// elimination kernel) so the tool runs out of the box.
+// --machine names a machine of the built-in catalog (machineNames() in
+// machines/MachineCatalog.h; default cydra5). With no loop file, schedules
+// a built-in sample (the tri-diagonal elimination kernel) so the tool runs
+// out of the box.
 //
 // Failures degrade instead of aborting: a failed reduction schedules
 // against the original description (identical constraints by Theorem 1,
@@ -23,6 +24,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "machines/MachineCatalog.h"
 #include "machines/MdlModel.h"
 #include "query/DiscreteQuery.h"
 #include "reduce/Reduction.h"
@@ -126,20 +128,13 @@ int main(int Argc, char **Argv) {
     if (!Parsed)
       return 1;
     Model = std::move(*Parsed);
-  } else if (MachineName == "cydra5") {
-    Model = makeCydra5();
-  } else if (MachineName == "alpha21064") {
-    Model = makeAlpha21064();
-  } else if (MachineName == "mips") {
-    Model = makeMipsR3000();
-  } else if (MachineName == "playdoh") {
-    Model = makePlayDoh();
-  } else if (MachineName == "toyvliw") {
-    Model = makeToyVliw();
   } else {
-    std::cerr << "imsched: error: unknown machine '" << MachineName
-              << "'\n";
-    return 1;
+    Expected<MachineModel> Builtin = machineByName(MachineName);
+    if (!Builtin) {
+      std::cerr << "imsched: error: " << Builtin.status().message() << "\n";
+      return 1;
+    }
+    Model = Builtin.take();
   }
 
   // Read the loop.

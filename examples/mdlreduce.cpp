@@ -14,8 +14,9 @@
 //             [--faults=<spec>]
 //             <input.mdl | ->
 //
-// With no file (or "-"), reads the paper's Figure 1 machine from a
-// built-in sample so the tool is runnable out of the box. --emit=c++
+// With no file (or "-"), reads the paper's Figure 1 machine from the
+// built-in catalog (machines/fig1.mdl) so the tool is runnable out of the
+// box. --emit=c++
 // writes the reduced description as a header of constexpr tables, the
 // form a production scheduler would compile in. --cache memoizes
 // reductions on disk keyed by machine content + objective (the
@@ -33,6 +34,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "flm/OperationClasses.h"
+#include "machines/MachineCatalog.h"
 #include "mdesc/Lint.h"
 #include "mdl/CppGen.h"
 #include "reduce/Explain.h"
@@ -51,14 +53,6 @@
 #include <string>
 
 using namespace rmd;
-
-static const char *SampleMdl = R"(# the paper's Figure 1 machine
-machine fig1 {
-  resources r0, r1, r2, r3, r4;
-  operation A { r0 at 0; r1 at 1; r2 at 2; }
-  operation B { r1 at 0; r2 at 1; r3 at 2 .. 5; r4 at 6 .. 7; }
-}
-)";
 
 static void usage() {
   std::cerr << "usage: mdlreduce [--objective=res-uses|word:<k>] "
@@ -145,7 +139,9 @@ int main(int Argc, char **Argv) {
   std::string Text;
   std::string InputName = "<builtin fig1>";
   if (InputPath.empty() || InputPath == "-") {
-    Text = SampleMdl;
+    for (const MachineCatalogEntry &E : machineCatalog())
+      if (E.Name == "fig1")
+        Text = E.Mdl;
   } else {
     std::ifstream In(InputPath);
     if (!In) {

@@ -7,12 +7,15 @@
 /// issue) and a coarse role used to bind machine-agnostic workload kernels
 /// to concrete operations.
 ///
-/// The three evaluation machines (Cydra 5, DEC Alpha 21064, MIPS
-/// R3000/R3010) are reconstructions: the original descriptions are
-/// unpublished, so each model reproduces the published machine structure
-/// and the resource-usage idioms the paper highlights (deep pipelines,
-/// partially pipelined stages, non-pipelined dividers, shared buses,
-/// alternative ports). See DESIGN.md for the substitution rationale.
+/// The built-in machines below are defined by the `machines/*.mdl` files,
+/// which are embedded at build time (machines/MachineCatalog.h); each
+/// accessor parses its file. The three evaluation machines (Cydra 5, DEC
+/// Alpha 21064, MIPS R3000/R3010) are reconstructions: the original
+/// descriptions are unpublished, so each model reproduces the published
+/// machine structure and the resource-usage idioms the paper highlights
+/// (deep pipelines, partially pipelined stages, non-pipelined dividers,
+/// shared buses, alternative ports). Each file's leading comment gives its
+/// rationale; see DESIGN.md for the substitution argument.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -4,14 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
-
 using namespace rmd;
-
-#ifndef RMD_SOURCE_DIR
-#define RMD_SOURCE_DIR "."
-#endif
 
 TEST(MdlModel, RoleNamesRoundTrip) {
   for (OpRole Role :
@@ -75,35 +68,4 @@ TEST(MdlModel, UnknownRoleIsAnError) {
                              Diags)
                    .has_value());
   EXPECT_TRUE(Diags.hasErrors());
-}
-
-TEST(MdlModel, CheckedInFilesMatchBuiltins) {
-  // The machines/*.mdl files in the repository must stay in sync with the
-  // builtin constructors (they are generated from them).
-  struct Entry {
-    const char *File;
-    MachineModel Model;
-  };
-  std::vector<Entry> Entries;
-  Entries.push_back({"machines/cydra5.mdl", makeCydra5()});
-  Entries.push_back({"machines/alpha21064.mdl", makeAlpha21064()});
-  Entries.push_back({"machines/mips-r3000-r3010.mdl", makeMipsR3000()});
-  Entries.push_back({"machines/toyvliw.mdl", makeToyVliw()});
-  Entries.push_back({"machines/playdoh.mdl", makePlayDoh()});
-  Entries.push_back({"machines/m88100.mdl", makeM88100()});
-
-  for (const Entry &E : Entries) {
-    std::string Path = std::string(RMD_SOURCE_DIR) + "/" + E.File;
-    std::ifstream In(Path);
-    ASSERT_TRUE(In.good()) << "missing " << Path;
-    std::ostringstream SS;
-    SS << In.rdbuf();
-
-    DiagnosticEngine Diags;
-    std::optional<MachineModel> Parsed = parseMdlModel(SS.str(), Diags);
-    ASSERT_TRUE(Parsed.has_value()) << Path;
-    EXPECT_EQ(Parsed->MD, E.Model.MD) << Path;
-    EXPECT_EQ(Parsed->Latency, E.Model.Latency) << Path;
-    EXPECT_EQ(Parsed->Role, E.Model.Role) << Path;
-  }
 }
