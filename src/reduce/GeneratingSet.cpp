@@ -6,6 +6,8 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <unordered_map>
 
 using namespace rmd;
@@ -37,156 +39,145 @@ rmd::enumerateElementaryPairs(const ForbiddenLatencyMatrix &FLM) {
 
 namespace {
 
-/// O(1) forbidden-latency membership: a dense (op, op, latency) cube.
-/// Latency sets are bounded by the longest reservation table, so the cube
-/// stays small (NumOps^2 * (2*MaxLat+1) bytes).
-class DenseForbidden {
-public:
-  explicit DenseForbidden(const ForbiddenLatencyMatrix &FLM)
-      : NumOps(FLM.numOperations()), MaxLat(FLM.maxAbsoluteLatency()),
-        Width(2 * static_cast<size_t>(MaxLat) + 1),
-        Table(NumOps * NumOps * Width, 0) {
-    for (OpId X = 0; X < NumOps; ++X)
-      for (OpId Y = 0; Y < NumOps; ++Y)
-        for (int F : FLM.get(X, Y))
-          Table[index(X, Y, F)] = 1;
-  }
+/// Words of a bitset over \p NumIds compact ids.
+size_t wordsFor(size_t NumIds) { return (NumIds + 63) / 64; }
 
-  bool forbidden(OpId X, OpId Y, int F) const {
-    if (F < -MaxLat || F > MaxLat)
+void setBit(uint64_t *Words, uint32_t Id) {
+  Words[Id / 64] |= uint64_t(1) << (Id % 64);
+}
+
+/// True if every bit of \p A is set in \p B (both \p W words).
+bool isSubset(const uint64_t *A, const uint64_t *B, size_t W) {
+  for (size_t I = 0; I < W; ++I)
+    if ((A[I] & ~B[I]) != 0)
       return false;
-    return Table[index(X, Y, F)] != 0;
+  return true;
+}
+
+/// Dense ids for a set of usages with nonnegative cycles, in the order
+/// they are first interned. The lookup table spans op x cycle, but the
+/// bitsets built on these ids only span the usages actually interned.
+class UsageIds {
+public:
+  UsageIds(size_t NumOps, int MaxCycle)
+      : Stride(static_cast<size_t>(MaxCycle) + 1), Table(NumOps * Stride, -1) {
   }
 
-  /// Compatibility of usages (paper Section 4): co-locating A and B on one
-  /// resource must forbid an already-forbidden latency.
-  bool compatible(const SynthUsage &A, const SynthUsage &B) const {
-    return forbidden(A.Op, B.Op, B.Cycle - A.Cycle);
+  uint32_t intern(const SynthUsage &U) {
+    int32_t &Slot = Table[slot(U)];
+    if (Slot < 0) {
+      Slot = static_cast<int32_t>(Usages.size());
+      Usages.push_back(U);
+    }
+    return static_cast<uint32_t>(Slot);
   }
+
+  /// The id of an interned usage.
+  uint32_t id(const SynthUsage &U) const {
+    assert(Table[slot(U)] >= 0 && "usage was never interned");
+    return static_cast<uint32_t>(Table[slot(U)]);
+  }
+
+  const SynthUsage &usage(uint32_t Id) const { return Usages[Id]; }
+  size_t size() const { return Usages.size(); }
 
 private:
-  size_t index(OpId X, OpId Y, int F) const {
-    return (static_cast<size_t>(X) * NumOps + Y) * Width +
-           static_cast<size_t>(F + MaxLat);
+  size_t slot(const SynthUsage &U) const {
+    assert(U.Cycle >= 0 && static_cast<size_t>(U.Cycle) < Stride &&
+           "usage cycle outside the interned range");
+    return U.Op * Stride + static_cast<size_t>(U.Cycle);
   }
 
-  size_t NumOps;
-  int MaxLat;
-  size_t Width;
-  std::vector<uint8_t> Table;
+  size_t Stride;
+  std::vector<int32_t> Table;
+  std::vector<SynthUsage> Usages;
 };
 
-/// 64-bit membership signature of one usage, for Bloom-style subset
-/// prefilters: U subset of V implies sig(U) & ~sig(V) == 0.
-uint64_t usageBit(const SynthUsage &U) {
-  uint64_t H = (static_cast<uint64_t>(U.Op) * 0x9e3779b97f4a7c15ull) ^
-               (static_cast<uint64_t>(static_cast<uint32_t>(U.Cycle)) *
-                0xbf58476d1ce4e5b9ull);
-  return 1ull << (H >> 58);
-}
-
-uint64_t usageSignature(const std::vector<SynthUsage> &Usages) {
-  uint64_t Sig = 0;
-  for (const SynthUsage &U : Usages)
-    Sig |= usageBit(U);
-  return Sig;
-}
-
-/// Exact-match key of one usage for the inverted posting index.
-uint64_t usageKey(const SynthUsage &U) {
-  return (static_cast<uint64_t>(U.Op) << 32) |
-         static_cast<uint32_t>(U.Cycle);
-}
-
-/// The mutable fold state: the resource set plus the two acceleration
-/// structures that keep addResource() cheap — a Bloom signature per
-/// resource and an inverted index from usage to the resources containing
-/// it. Resources only ever grow (Rule 1 adds usages, nothing removes
-/// them), so posting lists never go stale.
+/// The mutable fold state: the resource set, each resource's usage bitset
+/// over the compact usage ids (W words per resource, row-major), and an
+/// inverted index from usage id to the resources containing it. Resources
+/// only ever grow (Rule 1 adds usages, nothing removes them), so posting
+/// lists never go stale.
 struct FoldState {
+  const UsageIds &Ids;
+  size_t W;
   std::vector<SynthesizedResource> Set;
-  std::vector<uint64_t> Sig; // usage-set signature per resource
-  std::unordered_map<uint64_t, std::vector<uint32_t>> Postings;
+  std::vector<uint64_t> Bits;
+  std::vector<std::vector<uint32_t>> Postings;
 
-  void indexUsage(const SynthUsage &U, uint32_t Resource) {
-    Postings[usageKey(U)].push_back(Resource);
-  }
+  explicit FoldState(const UsageIds &Ids)
+      : Ids(Ids), W(wordsFor(Ids.size())), Postings(Ids.size()) {}
 
-  /// True if \p Usages (sorted) is a subset of some current resource.
-  /// Discarding subsets is safe: Theorem 1's reconstruction argument only
-  /// needs *some* resource containing the accumulated usages, and a
-  /// superset keeps accumulating whatever the subset would have. Exact
-  /// duplicates are subsets too, so this one test also deduplicates.
-  ///
-  /// Instead of scanning the whole set, only resources containing the
-  /// candidate's rarest usage are candidates (a superset must contain
-  /// every usage); the Bloom signature filters the survivors before the
-  /// O(n) verification.
-  bool subsumed(const std::vector<SynthUsage> &Usages,
-                uint64_t Signature) const {
+  const uint64_t *bits(size_t I) const { return &Bits[I * W]; }
+
+  /// True if the usage bitset \p Usages is a subset of some current
+  /// resource. Discarding subsets is safe: Theorem 1's reconstruction
+  /// argument only needs *some* resource containing the accumulated
+  /// usages, and a superset keeps accumulating whatever the subset would
+  /// have. Exact duplicates are subsets too, so this one test also
+  /// deduplicates. A superset must contain every usage, so only the
+  /// resources on the candidate's shortest posting list are tested.
+  bool subsumed(const uint64_t *Usages) const {
     const std::vector<uint32_t> *Shortest = nullptr;
-    for (const SynthUsage &U : Usages) {
-      auto It = Postings.find(usageKey(U));
-      if (It == Postings.end())
-        return false; // nothing contains this usage at all
-      if (!Shortest || It->second.size() < Shortest->size())
-        Shortest = &It->second;
-    }
-    for (uint32_t I : *Shortest) {
-      if ((Signature & ~Sig[I]) != 0)
-        continue;
-      if (std::includes(Set[I].usages().begin(), Set[I].usages().end(),
-                        Usages.begin(), Usages.end()))
+    for (size_t Word = 0; Word < W; ++Word)
+      for (uint64_t M = Usages[Word]; M != 0; M &= M - 1) {
+        const std::vector<uint32_t> &P =
+            Postings[Word * 64 + std::countr_zero(M)];
+        if (P.empty())
+          return false; // nothing contains this usage at all
+        if (!Shortest || P.size() < Shortest->size())
+          Shortest = &P;
+      }
+    assert(Shortest && "a candidate resource is never empty");
+    for (uint32_t I : *Shortest)
+      if (isSubset(Usages, bits(I), W))
         return true;
-    }
     return false;
   }
 
-  /// Adds \p R unless it is subsumed; returns the new index or -1.
-  int addResource(SynthesizedResource R) {
-    uint64_t Signature = usageSignature(R.usages());
-    if (subsumed(R.usages(), Signature))
+  /// Adds the resource whose usage bitset is \p Usages unless it is
+  /// subsumed; returns the new index or -1.
+  int addResource(const uint64_t *Usages) {
+    if (subsumed(Usages))
       return -1;
     uint32_t Index = static_cast<uint32_t>(Set.size());
-    for (const SynthUsage &U : R.usages())
-      indexUsage(U, Index);
-    Set.push_back(std::move(R));
-    Sig.push_back(Signature);
+    std::vector<SynthUsage> Members;
+    for (size_t Word = 0; Word < W; ++Word)
+      for (uint64_t M = Usages[Word]; M != 0; M &= M - 1) {
+        uint32_t Id = static_cast<uint32_t>(Word * 64 + std::countr_zero(M));
+        Members.push_back(Ids.usage(Id));
+        Postings[Id].push_back(Index);
+      }
+    Set.emplace_back(std::move(Members));
+    Bits.insert(Bits.end(), Usages, Usages + W);
     return static_cast<int>(Index);
   }
 
-  /// Rule 1: merges \p U into resource \p I, keeping signature and
+  /// Rule 1: merges \p U into resource \p I, keeping its bitset and the
   /// postings current. Pair usages have nonnegative cycles and every
   /// resource is anchored at cycle 0, so the merge never re-translates
-  /// existing usages and their posting entries stay valid.
+  /// existing usages and their ids stay valid.
   void mergeUsage(uint32_t I, const SynthUsage &U) {
-    if (Set[I].contains(U))
+    if (!Set[I].insert(U))
       return;
-    Set[I].insert(U);
-    Sig[I] |= usageBit(U);
-    indexUsage(U, I);
+    uint32_t Id = Ids.id(U);
+    setBit(&Bits[I * W], Id);
+    Postings[Id].push_back(I);
   }
 };
 
-/// Per-resource verdict of one elementary pair's compatibility scan.
-/// Computed read-only against the pre-fold resource state, so a block of
-/// verdicts can be filled by concurrent threads.
-struct PairVerdict {
-  bool Fully = false;
-  std::vector<SynthUsage> Compatible;
-};
+/// Per-resource verdict of one elementary pair, computed read-only
+/// against the pre-fold resource state.
+enum class PairVerdict : uint8_t { Fully, Partial, Disjoint };
 
 } // namespace
 
 std::vector<SynthesizedResource>
 rmd::buildGeneratingSet(const ForbiddenLatencyMatrix &FLM,
                         const GeneratingSetTrace *Trace, ThreadPool *Pool) {
-  DenseForbidden Dense(FLM);
-  FoldState State;
-
-  // Rule applications are counted only in the sequential apply phase, so
-  // the totals are identical at every thread count (the scan phase is
-  // read-only and the apply order is fixed).
+  // Rule applications are tallied only in the sequential apply phase and
+  // published once per pair, so the totals are identical at every thread
+  // count (the scan phase is read-only and the apply order is fixed).
   static StatCounter PairStat("reduce.pairs");
   static StatCounter Rule1Stat("reduce.rule1");
   static StatCounter Rule2Stat("reduce.rule2");
@@ -194,86 +185,129 @@ rmd::buildGeneratingSet(const ForbiddenLatencyMatrix &FLM,
   static StatCounter Rule3Stat("reduce.rule3");
   static StatCounter Rule4Stat("reduce.rule4");
 
-  std::vector<OpId> PairedOps(FLM.numOperations(), 0);
+  const size_t NumOps = FLM.numOperations();
+  std::vector<ElementaryPair> Pairs = enumerateElementaryPairs(FLM);
+
+  // Every usage a resource can ever hold is a pair usage or a Rule 4
+  // singleton: the rules only add pair usages or copy existing ones. Give
+  // each a compact id, pair usages in first-appearance order.
+  std::vector<uint8_t> PairedOps(NumOps, 0);
+  UsageIds Ids(NumOps, FLM.maxAbsoluteLatency());
+  for (const ElementaryPair &P : Pairs) {
+    Ids.intern(P.First);
+    Ids.intern(P.Second);
+    PairedOps[P.First.Op] = 1;
+    PairedOps[P.Second.Op] = 1;
+  }
+  std::vector<OpId> Rule4Ops;
+  for (OpId Op = 0; Op < NumOps; ++Op)
+    if (!PairedOps[Op] && FLM.isForbidden(Op, Op, 0)) {
+      Ids.intern(SynthUsage{Op, 0});
+      Rule4Ops.push_back(Op);
+    }
+
+  FoldState State(Ids);
+  const size_t W = State.W;
+
+  // Row J of Compat: the usages that are compatible with usage J (sharing
+  // a resource with it forbids only a latency of the matrix). A pair's
+  // "compatible with both usages" set is the AND of two rows.
+  std::vector<uint64_t> Compat(Ids.size() * W, 0);
+  for (uint32_t J = 0; J < Ids.size(); ++J)
+    for (uint32_t I = 0; I < Ids.size(); ++I)
+      if (usagesCompatible(FLM, Ids.usage(I), Ids.usage(J)))
+        setBit(&Compat[J * W], I);
+
+  std::vector<uint64_t> Both(W), Candidate(W);
   std::vector<PairVerdict> Verdicts;
 
-  for (const ElementaryPair &P : enumerateElementaryPairs(FLM)) {
+  for (const ElementaryPair &P : Pairs) {
     PairStat.add();
     if (Trace && Trace->OnPair)
       Trace->OnPair(P);
-    PairedOps[P.First.Op] = 1;
-    PairedOps[P.Second.Op] = 1;
+    uint32_t FirstId = Ids.id(P.First), SecondId = Ids.id(P.Second);
+    for (size_t Word = 0; Word < W; ++Word)
+      Both[Word] = Compat[FirstId * W + Word] & Compat[SecondId * W + Word];
 
-    // Scan phase (parallel): compatibility of the pair against every
-    // resource that existed when this pair's processing started. Verdicts
-    // depend only on the forbidden latencies and each resource's current
-    // usages — Rules 1/2 below never change another resource's verdict —
-    // so this phase reads exactly what the sequential fold would read.
+    // Scan phase (parallel): the verdict of every resource that existed
+    // when this pair's processing started. Verdicts depend only on the
+    // compatibility rows and each resource's current usages — Rules 1/2
+    // below never change another resource's verdict — so this phase reads
+    // exactly what the sequential fold would read.
     size_t End = State.Set.size();
-    if (Verdicts.size() < End)
-      Verdicts.resize(End);
+    Verdicts.resize(End);
     auto Scan = [&](size_t Begin, size_t BlockEnd) {
       for (size_t I = Begin; I < BlockEnd; ++I) {
-        PairVerdict &V = Verdicts[I];
-        V.Fully = true;
-        V.Compatible.clear();
-        for (const SynthUsage &U : State.Set[I].usages()) {
-          if (Dense.compatible(U, P.First) && Dense.compatible(U, P.Second))
-            V.Compatible.push_back(U);
-          else
-            V.Fully = false;
+        const uint64_t *R = State.bits(I);
+        uint64_t Outside = 0, Inside = 0;
+        for (size_t Word = 0; Word < W; ++Word) {
+          Outside |= R[Word] & ~Both[Word];
+          Inside |= R[Word] & Both[Word];
         }
+        Verdicts[I] = Outside == 0  ? PairVerdict::Fully
+                      : Inside != 0 ? PairVerdict::Partial
+                                    : PairVerdict::Disjoint;
       }
     };
-    if (Pool && End >= 64)
-      Pool->parallelFor(0, End, Scan, /*MinPerBlock=*/16);
+    // A verdict is a few word operations, so the pool handshake only pays
+    // for itself on large sets; smaller ones run inline.
+    if (Pool)
+      Pool->parallelFor(0, End, Scan, /*MinPerBlock=*/2048);
     else
       Scan(0, End);
 
     // Apply phase (sequential, resource-index order — the same order the
     // sequential fold uses, so the folded set is bit-identical).
     bool PairTogether = false;
+    uint64_t Rule1s = 0, Rule2s = 0, Discards = 0;
     for (size_t I = 0; I < End; ++I) {
-      PairVerdict &V = Verdicts[I];
-
-      if (V.Fully) {
+      switch (Verdicts[I]) {
+      case PairVerdict::Fully:
         // Rule 1: fully compatible; merge the pair into the resource.
         State.mergeUsage(static_cast<uint32_t>(I), P.First);
         State.mergeUsage(static_cast<uint32_t>(I), P.Second);
         PairTogether = true;
-        Rule1Stat.add();
+        ++Rule1s;
         if (Trace && Trace->OnRule)
           Trace->OnRule(GeneratingRule::Rule1, I);
-        continue;
-      }
-
-      // Rule 2: partially compatible; spawn pair + compatible subset,
-      // unless that subset is empty (new resource would be the bare pair).
-      if (V.Compatible.empty()) {
-        Rule2DiscardStat.add();
+        break;
+      case PairVerdict::Disjoint:
+        // Rule 2 would spawn just the bare pair; discard.
+        ++Discards;
         if (Trace && Trace->OnRule)
           Trace->OnRule(GeneratingRule::Rule2Discard, I);
-        continue;
+        break;
+      case PairVerdict::Partial: {
+        // Rule 2: partially compatible; spawn pair + compatible subset.
+        const uint64_t *R = State.bits(I);
+        for (size_t Word = 0; Word < W; ++Word)
+          Candidate[Word] = R[Word] & Both[Word];
+        setBit(Candidate.data(), FirstId);
+        setBit(Candidate.data(), SecondId);
+        int NewIndex = State.addResource(Candidate.data());
+        PairTogether = true; // together in the new or a subsuming resource
+        if (NewIndex >= 0) {
+          ++Rule2s;
+          if (Trace && Trace->OnRule)
+            Trace->OnRule(GeneratingRule::Rule2,
+                          static_cast<size_t>(NewIndex));
+        }
+        break;
       }
-      std::vector<SynthUsage> Candidate = std::move(V.Compatible);
-      Candidate.push_back(P.First);
-      Candidate.push_back(P.Second);
-      int NewIndex =
-          State.addResource(SynthesizedResource(std::move(Candidate)));
-      PairTogether = true; // together in the new or in a subsuming resource
-      if (NewIndex >= 0) {
-        Rule2Stat.add();
-        if (Trace && Trace->OnRule)
-          Trace->OnRule(GeneratingRule::Rule2, static_cast<size_t>(NewIndex));
       }
     }
+    Rule1Stat.add(Rule1s);
+    Rule2Stat.add(Rule2s);
+    Rule2DiscardStat.add(Discards);
 
     if (PairTogether)
       continue;
 
     // Rule 3: the pair's usages co-reside nowhere; add the pair itself.
-    int NewIndex =
-        State.addResource(SynthesizedResource({P.First, P.Second}));
+    std::fill(Candidate.begin(), Candidate.end(), 0);
+    setBit(Candidate.data(), FirstId);
+    setBit(Candidate.data(), SecondId);
+    int NewIndex = State.addResource(Candidate.data());
     if (NewIndex >= 0) {
       Rule3Stat.add();
       if (Trace && Trace->OnRule)
@@ -283,10 +317,10 @@ rmd::buildGeneratingSet(const ForbiddenLatencyMatrix &FLM,
 
   // Rule 4: operations whose only forbidden latency is the 0 self-latency
   // appear in no elementary pair; they still need one single-usage resource.
-  for (OpId Op = 0; Op < FLM.numOperations(); ++Op) {
-    if (PairedOps[Op] || !FLM.isForbidden(Op, Op, 0))
-      continue;
-    int NewIndex = State.addResource(SynthesizedResource({SynthUsage{Op, 0}}));
+  for (OpId Op : Rule4Ops) {
+    std::fill(Candidate.begin(), Candidate.end(), 0);
+    setBit(Candidate.data(), Ids.id(SynthUsage{Op, 0}));
+    int NewIndex = State.addResource(Candidate.data());
     if (NewIndex >= 0) {
       Rule4Stat.add();
       if (Trace && Trace->OnRule)
@@ -297,40 +331,68 @@ rmd::buildGeneratingSet(const ForbiddenLatencyMatrix &FLM,
   return std::move(State.Set);
 }
 
-namespace {
-
-/// Bloom signature of a generated latency set, for prune prefiltering.
-uint64_t latencySignature(const std::vector<ForbiddenLatency> &Latencies) {
-  uint64_t Sig = 0;
-  for (const ForbiddenLatency &L : Latencies) {
-    uint64_t H = (static_cast<uint64_t>(L.After) * 0x9e3779b97f4a7c15ull) ^
-                 (static_cast<uint64_t>(L.Before) * 0xbf58476d1ce4e5b9ull) ^
-                 (static_cast<uint64_t>(static_cast<uint32_t>(L.Latency)) *
-                  0x94d049bb133111ebull);
-    Sig |= 1ull << (H >> 58);
-  }
-  return Sig;
-}
-
-} // namespace
-
 std::vector<SynthesizedResource>
 rmd::pruneGeneratingSet(std::vector<SynthesizedResource> Set,
                         ThreadPool *Pool) {
-  // Precompute generated latency sets (independent per resource).
-  std::vector<std::vector<ForbiddenLatency>> Generated(Set.size());
-  auto Precompute = [&](size_t Begin, size_t End) {
-    for (size_t I = Begin; I < End; ++I)
-      Generated[I] = Set[I].generatedLatencies();
-  };
-  if (Pool)
-    Pool->parallelFor(0, Set.size(), Precompute, /*MinPerBlock=*/8);
-  else
-    Precompute(0, Set.size());
-
-  std::vector<uint64_t> Sig(Set.size());
+  // Compact ids: one per distinct usage of the set, then one per distinct
+  // canonical latency some resource generates. LatencyOf caches the
+  // latency id of each usage-id pair (a co-located pair always generates
+  // the same canonical latency), so each pair is hashed at most once.
+  size_t NumOps = 0;
+  int MaxCycle = 0;
+  for (const SynthesizedResource &R : Set)
+    for (const SynthUsage &U : R.usages()) {
+      NumOps = std::max<size_t>(NumOps, U.Op + 1);
+      MaxCycle = std::max(MaxCycle, U.Cycle);
+    }
+  UsageIds Ids(NumOps, MaxCycle);
+  std::vector<std::vector<uint32_t>> Members(Set.size());
   for (size_t I = 0; I < Set.size(); ++I)
-    Sig[I] = latencySignature(Generated[I]);
+    for (const SynthUsage &U : Set[I].usages())
+      Members[I].push_back(Ids.intern(U));
+  const size_t NumUsages = Ids.size();
+  std::vector<int32_t> LatencyOf(NumUsages * NumUsages, -1);
+  std::unordered_map<uint64_t, uint32_t> LatencyIds;
+  auto newLatencyId = [&](uint32_t A, uint32_t B) {
+    ForbiddenLatency L = generatedLatency(Ids.usage(A), Ids.usage(B));
+    uint64_t Key = (uint64_t(L.After) << 42) | (uint64_t(L.Before) << 21) |
+                   static_cast<uint64_t>(L.Latency);
+    int32_t Id = static_cast<int32_t>(
+        LatencyIds.emplace(Key, LatencyIds.size()).first->second);
+    LatencyOf[A * NumUsages + B] = LatencyOf[B * NumUsages + A] = Id;
+    return Id;
+  };
+
+  // Each resource's generated latency set (its one self-latency per usage
+  // plus one latency per usage pair) as a bitset over the latency ids.
+  // Scratch is sized for every id the resource could add.
+  std::vector<std::vector<uint64_t>> Generated(Set.size());
+  std::vector<uint64_t> Scratch;
+  for (size_t I = 0; I < Set.size(); ++I) {
+    const std::vector<uint32_t> &U = Members[I];
+    Scratch.assign(
+        wordsFor(LatencyIds.size() + U.size() * (U.size() + 1) / 2), 0);
+    for (size_t A = 0; A < U.size(); ++A) {
+      const int32_t *Row = &LatencyOf[U[A] * NumUsages];
+      for (size_t B = A; B < U.size(); ++B) {
+        int32_t Id = Row[U[B]];
+        if (Id < 0)
+          Id = newLatencyId(U[A], U[B]);
+        setBit(Scratch.data(), static_cast<uint32_t>(Id));
+      }
+    }
+    Generated[I].assign(Scratch.begin(),
+                        Scratch.begin() + wordsFor(LatencyIds.size()));
+  }
+  const size_t W = wordsFor(LatencyIds.size());
+  std::vector<uint64_t> Bits(Set.size() * W, 0);
+  std::vector<size_t> Count(Set.size());
+  for (size_t I = 0; I < Set.size(); ++I) {
+    std::copy(Generated[I].begin(), Generated[I].end(), &Bits[I * W]);
+    for (uint64_t Word : Generated[I])
+      Count[I] += std::popcount(Word);
+  }
+  auto bits = [&](size_t I) { return &Bits[I * W]; };
 
   // The historical sweep processed resources smallest-set-first and
   // removed each one covered by a not-yet-removed resource. That is
@@ -343,27 +405,18 @@ rmd::pruneGeneratingSet(std::vector<SynthesizedResource> Set,
   for (size_t I = 0; I < BySizeDesc.size(); ++I)
     BySizeDesc[I] = I;
   std::stable_sort(BySizeDesc.begin(), BySizeDesc.end(),
-                   [&](size_t A, size_t B) {
-                     return Generated[A].size() > Generated[B].size();
-                   });
+                   [&](size_t A, size_t B) { return Count[A] > Count[B]; });
 
   std::vector<uint8_t> Removed(Set.size(), 0);
   auto Judge = [&](size_t Begin, size_t End) {
     for (size_t I = Begin; I < End; ++I) {
       for (size_t J : BySizeDesc) {
-        if (Generated[J].size() < Generated[I].size())
+        if (Count[J] < Count[I])
           break; // only larger-or-equal sets can cover; list is sorted
-        if (J == I || (Sig[I] & ~Sig[J]) != 0)
+        if (J == I || !isSubset(bits(I), bits(J), W))
           continue;
-        if (Generated[J].size() == Generated[I].size()) {
-          if (J > I && Generated[J] == Generated[I]) {
-            Removed[I] = 1;
-            break;
-          }
-          continue;
-        }
-        if (std::includes(Generated[J].begin(), Generated[J].end(),
-                          Generated[I].begin(), Generated[I].end())) {
+        // Equal sizes plus subset means the identical set.
+        if (Count[J] > Count[I] || J > I) {
           Removed[I] = 1;
           break;
         }

@@ -68,13 +68,18 @@ enumerateElementaryPairs(const ForbiddenLatencyMatrix &FLM);
 /// Runs Algorithm 1 on \p FLM, returning the generating set of maximal
 /// resources (possibly including submaximal extras).
 ///
-/// With \p Pool, the per-pair compatibility scan over the accumulated
-/// resources runs in parallel blocks; Rules 1–4 are then applied
-/// sequentially in resource-index order from the precomputed compatibility
-/// verdicts. The verdicts are read-only functions of the forbidden
-/// latencies and of resource state *before* the pair is folded — exactly
-/// what the sequential fold reads — so the result is bit-identical to the
-/// sequential fold at every thread count.
+/// Each distinct usage of an elementary pair gets a compact id, and each
+/// resource carries a bitset over those ids, so judging a pair against a
+/// resource is a few word operations against the pair's "compatible with
+/// both usages" bitset C: Rule 1 when R & ~C is empty, a Rule 2 discard
+/// when R & C is empty, else a Rule 2 candidate (R & C plus the pair).
+///
+/// With \p Pool, the per-pair verdict scan over a large resource set runs
+/// in parallel blocks; Rules 1–4 are then applied sequentially in
+/// resource-index order. The verdicts are read-only functions of the
+/// forbidden latencies and of resource state *before* the pair is folded —
+/// exactly what the sequential fold reads — so the result is bit-identical
+/// to the sequential fold at every thread count.
 std::vector<SynthesizedResource>
 buildGeneratingSet(const ForbiddenLatencyMatrix &FLM,
                    const GeneratingSetTrace *Trace = nullptr,
@@ -85,10 +90,12 @@ buildGeneratingSet(const ForbiddenLatencyMatrix &FLM,
 /// resource. Eliminates submaximal resources, duplicate maximals, and
 /// mirror images.
 ///
-/// Removal is computed with the order-free characterization of the
-/// sequential sweep — resource I is removed iff some J generates a strict
-/// superset, or generates the same set and has the larger index — so
-/// per-resource verdicts are independent and parallelize over \p Pool
+/// Each generated latency set is a bitset over compact ids of the
+/// canonical latencies the set generates, so a cover test is a word-wise
+/// A & ~B. Removal is computed with the order-free characterization of
+/// the sequential sweep — resource I is removed iff some J generates a
+/// strict superset, or generates the same set and has the larger index —
+/// so per-resource verdicts are independent and parallelize over \p Pool
 /// without changing the result.
 std::vector<SynthesizedResource>
 pruneGeneratingSet(std::vector<SynthesizedResource> Set,

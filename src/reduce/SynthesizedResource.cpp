@@ -26,11 +26,18 @@ bool SynthesizedResource::contains(const SynthUsage &U) const {
   return std::binary_search(Usages.begin(), Usages.end(), U);
 }
 
-void SynthesizedResource::insert(const SynthUsage &U) {
-  if (contains(U))
-    return;
-  Usages.push_back(U);
-  normalize();
+bool SynthesizedResource::insert(const SynthUsage &U) {
+  auto It = std::lower_bound(Usages.begin(), Usages.end(), U);
+  if (It != Usages.end() && *It == U)
+    return false;
+  bool NewFront = It == Usages.begin();
+  Usages.insert(It, U);
+  // Only a usage that lands before the old front can move the earliest
+  // cycle away from 0 (usages order by cycle first).
+  if (NewFront && U.Cycle != 0)
+    for (SynthUsage &V : Usages)
+      V.Cycle -= U.Cycle;
+  return true;
 }
 
 std::vector<ForbiddenLatency> SynthesizedResource::generatedLatencies() const {

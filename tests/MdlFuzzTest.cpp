@@ -6,6 +6,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "RandomMachine.h"
 #include "machines/MachineModel.h"
 #include "mdl/Parser.h"
 #include "mdl/Writer.h"
@@ -101,32 +102,6 @@ TEST(MdlFuzz, TruncationsOfValidInput) {
 //===----------------------------------------------------------------------===//
 // Reduction correctness under fuzzed *valid* machines
 //===----------------------------------------------------------------------===//
-
-namespace {
-
-/// A random valid single-alternative machine: 2-6 resources, 1-5
-/// operations, each with 1-4 distinct usages at cycles 0-7. ReservationTable
-/// dedups, so every generated description passes validate() by
-/// construction.
-MachineDescription randomValidMachine(uint64_t Seed) {
-  RNG R(Seed);
-  MachineDescription MD("fuzz" + std::to_string(Seed));
-  unsigned NumResources = 2 + static_cast<unsigned>(R.nextBelow(5));
-  for (unsigned I = 0; I < NumResources; ++I)
-    MD.addResource("r" + std::to_string(I));
-  unsigned NumOps = 1 + static_cast<unsigned>(R.nextBelow(5));
-  for (unsigned I = 0; I < NumOps; ++I) {
-    ReservationTable Table;
-    unsigned NumUsages = 1 + static_cast<unsigned>(R.nextBelow(4));
-    for (unsigned U = 0; U < NumUsages; ++U)
-      Table.addUsage(static_cast<ResourceId>(R.nextBelow(NumResources)),
-                     static_cast<int>(R.nextBelow(8)));
-    MD.addOperation("op" + std::to_string(I), std::move(Table));
-  }
-  return MD;
-}
-
-} // namespace
 
 // Every fuzzed valid machine must reduce successfully AND report the
 // verification verdict into the stats registry: after a checked reduction,
