@@ -160,3 +160,20 @@ rmd::buildBitvectorPatternArena(const MachineDescription &MD,
 
   return Arena;
 }
+
+std::shared_ptr<const BitvectorPatternArena>
+BitvectorArenaCache::get(const QueryConfig &Config, bool *Built) const {
+  Key K{static_cast<int>(Config.Mode),
+        Config.Mode == QueryConfig::Modulo ? Config.ModuloII : 0,
+        Config.WordBits, Config.CyclesPerWordOverride};
+  // Building under the lock keeps "once per key" exact; a build is
+  // microseconds and concurrent first requests for one key are rare.
+  std::lock_guard<std::mutex> Lock(Mutex);
+  auto It = Arenas.find(K);
+  bool Inserted = It == Arenas.end();
+  if (Inserted)
+    It = Arenas.emplace(K, buildBitvectorPatternArena(MD, Config)).first;
+  if (Built)
+    *Built = Inserted;
+  return It->second;
+}

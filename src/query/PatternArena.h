@@ -8,6 +8,14 @@
 /// server's sessions in particular, but also any client that builds many
 /// modules over one description (replay harnesses, thread sweeps).
 ///
+/// BitvectorArenaCache below is the one place arenas are reused: it builds
+/// each arena once per addressing config over one description and hands
+/// the same shared_ptr to every later request. Whoever owns the description
+/// owns its cache (the IMS module factory of workload/Experiment.h, the
+/// server's LoadedMachine); there is deliberately no process-wide cache
+/// keyed by a description's address, since a freed description's address
+/// can be reused.
+///
 /// The arena is strictly const after construction: every field a query hot
 /// loop reads (pattern refs, mask words, prefix counts, the uniform-row
 /// mirror, the modulo self-conflict table) lives here, and nothing in here
@@ -27,7 +35,10 @@
 #include "query/QueryModule.h"
 #include "query/SimdOps.h"
 
+#include <map>
 #include <memory>
+#include <mutex>
+#include <tuple>
 #include <vector>
 
 namespace rmd {
@@ -122,6 +133,28 @@ struct BitvectorPatternArena {
 /// the consumer.
 std::shared_ptr<const BitvectorPatternArena>
 buildBitvectorPatternArena(const MachineDescription &MD, QueryConfig Config);
+
+/// Builds each arena over one description once per addressing config and
+/// returns the same arena to every later get() with that config. The key is
+/// every config field BitvectorPatternArena::compatibleWith() checks: mode,
+/// II (modulo mode only), WordBits and CyclesPerWordOverride. get() is
+/// thread-safe (a copied module factory shares its cache), and the
+/// description must outlive the cache.
+class BitvectorArenaCache {
+public:
+  explicit BitvectorArenaCache(const MachineDescription &MD) : MD(MD) {}
+
+  /// The arena for \p Config, built on the first request for its key. When
+  /// \p Built is non-null it is set to whether this call built the arena.
+  std::shared_ptr<const BitvectorPatternArena>
+  get(const QueryConfig &Config, bool *Built = nullptr) const;
+
+private:
+  using Key = std::tuple<int, int, unsigned, unsigned>;
+  const MachineDescription &MD;
+  mutable std::mutex Mutex;
+  mutable std::map<Key, std::shared_ptr<const BitvectorPatternArena>> Arenas;
+};
 
 /// Appends \p Scratch's span [MinWord, MaxWord] to \p MaskPool/\p PrefixPool
 /// and returns its ref; resets the touched Scratch words to zero. Shared by

@@ -9,6 +9,7 @@
 #include "verify/QueryTrace.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <optional>
 
@@ -16,7 +17,7 @@ using namespace rmd;
 
 namespace {
 
-/// Per-attempt scheduling state.
+/// Per-attempt scheduling state (kept across attempts to reuse storage).
 struct AttemptState {
   std::vector<bool> Scheduled;
   std::vector<bool> EverScheduled;
@@ -24,6 +25,32 @@ struct AttemptState {
   std::vector<int> Alternative;
   std::vector<int> PrevTime;
   std::vector<uint32_t> ForcedCount;
+
+  /// Node ids by priority, highest first (ties: ascending id), and each
+  /// node's position in that order.
+  std::vector<NodeId> ByRank;
+  std::vector<uint32_t> Rank;
+  /// Bitset over ranks: set while the node of that rank is unscheduled.
+  std::vector<uint64_t> Pending;
+
+  /// Per flat OpId: whether the op's table is free of modulo
+  /// self-conflicts at this attempt's II (Unknown until first asked).
+  enum : uint8_t { Unknown, Feasible, Infeasible };
+  std::vector<uint8_t> OpFeasible;
+
+  void markPending(NodeId V) {
+    Pending[Rank[V] / 64] |= 1ull << (Rank[V] % 64);
+  }
+  void clearPending(NodeId V) {
+    Pending[Rank[V] / 64] &= ~(1ull << (Rank[V] % 64));
+  }
+  /// The highest-priority unscheduled node; requires one to exist.
+  NodeId nextPending() const {
+    size_t W = 0;
+    while (Pending[W] == 0)
+      ++W;
+    return ByRank[W * 64 + std::countr_zero(Pending[W])];
+  }
 };
 
 /// Height-based priority at a given II: HeightR(v) = max over edges v->s of
@@ -111,18 +138,21 @@ attemptSchedule(const DepGraph &G, const QueryEnvironment &Env, int II,
 
   // Alternatives that collide with their own modulo copies at this II can
   // never be placed; if some node has no feasible alternative, the attempt
-  // fails immediately (the scheduler must raise the II).
-  std::vector<std::vector<uint8_t>> AltFeasible(N);
+  // fails immediately (the scheduler must raise the II). The verdict is a
+  // property of the flat op, so it is computed once per distinct op.
+  S.OpFeasible.assign(Flat.numOperations(), AttemptState::Unknown);
+  auto feasible = [&](OpId Op) {
+    uint8_t &Verdict = S.OpFeasible[Op];
+    if (Verdict == AttemptState::Unknown)
+      Verdict = hasModuloSelfConflict(Flat.operation(Op).table(), II)
+                    ? AttemptState::Infeasible
+                    : AttemptState::Feasible;
+    return Verdict == AttemptState::Feasible;
+  };
   for (NodeId V = 0; V < N; ++V) {
     bool Any = false;
-    const std::vector<OpId> &Alts = Groups[G.opOf(V)];
-    AltFeasible[V].resize(Alts.size());
-    for (size_t A = 0; A < Alts.size(); ++A) {
-      bool Ok =
-          !hasModuloSelfConflict(Flat.operation(Alts[A]).table(), II);
-      AltFeasible[V][A] = Ok;
-      Any |= Ok;
-    }
+    for (OpId Op : Groups[G.opOf(V)])
+      Any |= feasible(Op);
     if (!Any)
       return AttemptEnd::BudgetExhausted;
   }
@@ -140,7 +170,20 @@ attemptSchedule(const DepGraph &G, const QueryEnvironment &Env, int II,
   ContentionQueryModule &Q =
       TraceLog ? static_cast<ContentionQueryModule &>(*Tracer) : *Module;
 
+  // Rank the nodes once per attempt. stable_sort keeps equal priorities in
+  // ascending id order, the tie rule of a strict-> scan over the ids.
   std::vector<long long> Height = computePriorities(G, II, Kind);
+  S.ByRank.resize(N);
+  for (NodeId V = 0; V < N; ++V)
+    S.ByRank[V] = V;
+  std::stable_sort(S.ByRank.begin(), S.ByRank.end(),
+                   [&](NodeId A, NodeId B) { return Height[A] > Height[B]; });
+  S.Rank.resize(N);
+  for (size_t R = 0; R < N; ++R)
+    S.Rank[S.ByRank[R]] = static_cast<uint32_t>(R);
+  S.Pending.assign((N + 63) / 64, 0);
+  for (NodeId V = 0; V < N; ++V)
+    S.markPending(V);
 
   S.Scheduled.assign(N, false);
   S.EverScheduled.assign(N, false);
@@ -174,12 +217,10 @@ attemptSchedule(const DepGraph &G, const QueryEnvironment &Env, int II,
       return AttemptEnd::BudgetExhausted;
     }
 
-    // Highest-priority unscheduled operation (ties: lowest id).
-    NodeId V = static_cast<NodeId>(N);
-    for (NodeId U = 0; U < N; ++U)
-      if (!S.Scheduled[U] && (V == N || Height[U] > Height[V]))
-        V = U;
-    assert(V < N && "no unscheduled node despite NumScheduled < N");
+    // Highest-priority unscheduled operation (ties: lowest id): the first
+    // set bit of the rank-ordered pending set.
+    NodeId V = S.nextPending();
+    assert(!S.Scheduled[V] && "pending set out of sync with Scheduled");
 
     // Earliest start from currently scheduled predecessors.
     int Estart = 0;
@@ -219,7 +260,7 @@ attemptSchedule(const DepGraph &G, const QueryEnvironment &Env, int II,
                  : S.PrevTime[V] + 1;
       // Rotate through the II-feasible alternatives. Each draw advances the
       // rotation by one position, so Alts.size() draws cover every
-      // alternative exactly once — the up-front AltFeasible scan guarantees
+      // alternative exactly once — the up-front feasibility scan guarantees
       // a feasible one is among them. If that invariant ever breaks, raise
       // the II through the normal escalation path rather than silently
       // placing an infeasible alternative (the old assert-only guard
@@ -228,8 +269,8 @@ attemptSchedule(const DepGraph &G, const QueryEnvironment &Env, int II,
       do {
         Alt = static_cast<int>(S.ForcedCount[V]++ % Alts.size());
         ++Tried;
-      } while (!AltFeasible[V][Alt] && Tried < Alts.size());
-      if (!AltFeasible[V][Alt]) {
+      } while (!feasible(Alts[Alt]) && Tried < Alts.size());
+      if (!feasible(Alts[Alt])) {
         Accum.accumulate(Module->counters());
         return AttemptEnd::BudgetExhausted;
       }
@@ -242,6 +283,7 @@ attemptSchedule(const DepGraph &G, const QueryEnvironment &Env, int II,
         assert(Victim >= 0 && static_cast<size_t>(Victim) < N &&
                S.Scheduled[Victim] && "evicted an unknown instance");
         S.Scheduled[Victim] = false;
+        S.markPending(static_cast<NodeId>(Victim));
         --NumScheduled;
         ++Stats.EvictedByResource;
         Stats.UsedAssignFreeEviction = true;
@@ -253,6 +295,7 @@ attemptSchedule(const DepGraph &G, const QueryEnvironment &Env, int II,
     S.PrevTime[V] = Slot;
     S.EverScheduled[V] = true;
     S.Scheduled[V] = true;
+    S.clearPending(V);
     ++NumScheduled;
     ++DecisionsThisAttempt;
     Stats.ChecksPerDecision.push_back(static_cast<uint32_t>(
@@ -263,6 +306,7 @@ attemptSchedule(const DepGraph &G, const QueryEnvironment &Env, int II,
       Q.free(Groups[G.opOf(W)][S.Alternative[W]], S.Time[W],
              static_cast<InstanceId>(W));
       S.Scheduled[W] = false;
+      S.markPending(W);
       --NumScheduled;
       ++Stats.EvictedByDependence;
     };

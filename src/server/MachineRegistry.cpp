@@ -26,20 +26,12 @@ LoadedMachine::LoadedMachine(std::string TheName, MachineModel TheModel)
 
 std::shared_ptr<const BitvectorPatternArena>
 LoadedMachine::arenaFor(const QueryConfig &Config) const {
-  ArenaKey Key{static_cast<int>(Config.Mode),
-               Config.Mode == QueryConfig::Modulo ? Config.ModuloII : 0,
-               Config.CyclesPerWordOverride};
-  std::lock_guard<std::mutex> Lock(ArenaMutex);
-  auto It = Arenas.find(Key);
-  if (It != Arenas.end()) {
-    static StatCounter ArenaHits("server.arena.hits");
-    ArenaHits.add();
-    return It->second;
-  }
+  static StatCounter ArenaHits("server.arena.hits");
   static StatCounter ArenaBuilds("server.arena.builds");
-  ArenaBuilds.add();
-  auto Arena = buildBitvectorPatternArena(Reduced, Config);
-  Arenas.emplace(Key, Arena);
+  bool Built = false;
+  std::shared_ptr<const BitvectorPatternArena> Arena =
+      Arenas.get(Config, &Built);
+  (Built ? ArenaBuilds : ArenaHits).add();
   return Arena;
 }
 

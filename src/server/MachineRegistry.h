@@ -8,8 +8,9 @@
 /// Everything a session needs afterwards is read-only: the reduced
 /// description, the alternative grouping, and per-configuration bitvector
 /// pattern arenas built on first use and shared by every session over the
-/// same (machine, addressing config) — the arena-sharing refactor in
-/// query/PatternArena.h exists for exactly this.
+/// same (machine, addressing config). The arenas live in the machine's
+/// BitvectorArenaCache (query/PatternArena.h), the same cache the IMS module
+/// factory uses.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,7 +33,8 @@ namespace rmd {
 namespace server {
 
 /// One loaded machine; immutable after load (the arena cache behind
-/// arenaFor() is internally synchronized and append-only).
+/// arenaFor() is internally synchronized and append-only). Not movable: the
+/// cache refers to Reduced.
 class LoadedMachine {
 public:
   LoadedMachine(std::string Name, MachineModel Model);
@@ -53,7 +55,7 @@ public:
 
   /// The shared pattern arena for \p Config (bitvector machines only);
   /// built on first request, then reused by every later session with the
-  /// same addressing parameters.
+  /// same addressing parameters. Counts server.arena.builds / .hits.
   std::shared_ptr<const BitvectorPatternArena>
   arenaFor(const QueryConfig &Config) const;
 
@@ -73,21 +75,7 @@ private:
   Status Why;
   bool UseBitvector = false;
 
-  struct ArenaKey {
-    int Mode;
-    int ModuloII;
-    unsigned CyclesPerWordOverride;
-    bool operator<(const ArenaKey &O) const {
-      if (Mode != O.Mode)
-        return Mode < O.Mode;
-      if (ModuloII != O.ModuloII)
-        return ModuloII < O.ModuloII;
-      return CyclesPerWordOverride < O.CyclesPerWordOverride;
-    }
-  };
-  mutable std::mutex ArenaMutex;
-  mutable std::map<ArenaKey, std::shared_ptr<const BitvectorPatternArena>>
-      Arenas;
+  BitvectorArenaCache Arenas{Reduced};
 };
 
 /// Name-keyed store of LoadedMachines. load() is idempotent per name and

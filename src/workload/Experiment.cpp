@@ -17,12 +17,16 @@ rmd::makeModuleFactory(const RepresentationSpec &Spec) {
   unsigned WordBits = Spec.WordBits;
   unsigned ForcedK = Spec.CyclesPerWord;
   bool Union = Spec.UnionAlternativeCheck;
-  return [MD, WordBits, ForcedK, Union](
+  // The IMS asks for a module per II attempt, and a corpus's loops share a
+  // small range of IIs: build each II's arena once per factory.
+  auto Arenas = std::make_shared<BitvectorArenaCache>(*MD);
+  return [MD, Arenas, WordBits, ForcedK, Union](
              QueryConfig Config) -> std::unique_ptr<ContentionQueryModule> {
     Config.WordBits = WordBits;
     Config.CyclesPerWordOverride = ForcedK;
     Config.UnionAlternativeCheck = Union;
-    return std::make_unique<BitvectorQueryModule>(*MD, Config);
+    return std::make_unique<BitvectorQueryModule>(*MD, Config,
+                                                  Arenas->get(Config));
   };
 }
 

@@ -83,6 +83,8 @@ runSchedulerExperiment(const MachineModel &Model,
                        const ModuloScheduleOptions &Options = {});
 
 /// Builds the module factory for \p Spec (exposed for tests and examples).
+/// A bitvector factory owns one BitvectorArenaCache over Spec.FlatMD, shared
+/// by its copies, so each (II, addressing config) arena is built once.
 std::function<std::unique_ptr<ContentionQueryModule>(QueryConfig)>
 makeModuleFactory(const RepresentationSpec &Spec);
 
