@@ -63,22 +63,6 @@ RmdClient::~RmdClient() {
     ::close(Fd);
 }
 
-static Status sendAll(int Fd, const void *Buf, size_t Size) {
-  const uint8_t *In = static_cast<const uint8_t *>(Buf);
-  while (Size) {
-    ssize_t N = ::send(Fd, In, Size, MSG_NOSIGNAL);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return Status(ErrorCode::CacheIO,
-                    std::string("send(): ") + std::strerror(errno));
-    }
-    In += N;
-    Size -= static_cast<size_t>(N);
-  }
-  return Status::ok();
-}
-
 static Status recvAll(int Fd, void *Buf, size_t Size) {
   uint8_t *Out = static_cast<uint8_t *>(Buf);
   while (Size) {
@@ -103,14 +87,10 @@ static Status recvAll(int Fd, void *Buf, size_t Size) {
 
 Status RmdClient::roundTrip(const std::vector<uint8_t> &Payload,
                             std::vector<uint8_t> &Response) {
+  if (int Err = writeFrame(Fd, Payload.data(), Payload.size()))
+    return Status(ErrorCode::CacheIO,
+                  std::string("sendmsg(): ") + std::strerror(Err));
   uint8_t LenBytes[4];
-  uint32_t Len = static_cast<uint32_t>(Payload.size());
-  for (int I = 0; I < 4; ++I)
-    LenBytes[I] = static_cast<uint8_t>(Len >> (8 * I));
-  if (Status S = sendAll(Fd, LenBytes, 4); !S)
-    return S;
-  if (Status S = sendAll(Fd, Payload.data(), Payload.size()); !S)
-    return S;
   if (Status S = recvAll(Fd, LenBytes, 4); !S)
     return S;
   uint32_t RespLen = 0;

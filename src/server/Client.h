@@ -52,8 +52,8 @@ public:
 private:
   explicit RmdClient(int Fd) : Fd(Fd) {}
 
-  /// Sends \p Payload as one frame and reads the response frame into
-  /// \p Response.
+  /// Sends \p Payload as one frame (one sendmsg, wire::writeFrame) and
+  /// reads the response frame into \p Response.
   Status roundTrip(const std::vector<uint8_t> &Payload,
                    std::vector<uint8_t> &Response);
 

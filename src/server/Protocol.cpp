@@ -2,6 +2,12 @@
 
 #include "server/Protocol.h"
 
+#include <cerrno>
+#include <cstring>
+
+#include <sys/socket.h>
+#include <sys/uio.h>
+
 using namespace rmd;
 using namespace rmd::wire;
 
@@ -27,6 +33,19 @@ void WireWriter::u64(uint64_t V) {
 void WireWriter::str(const std::string &S) {
   u32(static_cast<uint32_t>(S.size()));
   Bytes.insert(Bytes.end(), S.begin(), S.end());
+}
+
+uint8_t *WireWriter::extend(size_t N) {
+  size_t At = Bytes.size();
+  Bytes.resize(At + N);
+  return Bytes.data() + At;
+}
+
+static void store32(uint8_t *P, uint32_t V) {
+  P[0] = static_cast<uint8_t>(V);
+  P[1] = static_cast<uint8_t>(V >> 8);
+  P[2] = static_cast<uint8_t>(V >> 16);
+  P[3] = static_cast<uint8_t>(V >> 24);
 }
 
 bool WireReader::u8(uint8_t &V) {
@@ -78,6 +97,14 @@ bool WireReader::str(std::string &S) {
     return false;
   S.assign(reinterpret_cast<const char *>(Data + Pos), Len);
   Pos += Len;
+  return true;
+}
+
+bool WireReader::bytes(size_t N, std::span<const uint8_t> &Out) {
+  if (N > remaining())
+    return false;
+  Out = std::span<const uint8_t>(Data + Pos, N);
+  Pos += N;
   return true;
 }
 
@@ -188,43 +215,59 @@ Expected<OpenSessionRequest> wire::decodeOpenSessionRequest(WireReader &In) {
 std::vector<uint8_t> wire::encodeRequest(uint32_t RequestId,
                                          const BatchRequest &R) {
   WireWriter Out;
+  // Header, session id and count, then the records.
+  Out.reserve(8 + 8 + kBatchEventBytes * R.Events.size());
   putHeader(Out, MessageType::Batch, false, RequestId);
   Out.u32(R.SessionId);
   Out.u32(static_cast<uint32_t>(R.Events.size()));
+  uint8_t *P = Out.extend(kBatchEventBytes * R.Events.size());
   for (const BatchEvent &E : R.Events) {
-    Out.u8(static_cast<uint8_t>(E.TheVerb));
-    Out.u32(E.Op);
-    Out.i32(E.Cycle);
-    Out.i32(E.Instance);
+    P[0] = static_cast<uint8_t>(E.TheVerb);
+    store32(P + 1, E.Op);
+    store32(P + 5, static_cast<uint32_t>(E.Cycle));
+    store32(P + 9, static_cast<uint32_t>(E.Instance));
+    P += kBatchEventBytes;
   }
   return Out.take();
 }
 
-Expected<BatchRequest> wire::decodeBatchRequest(WireReader &In) {
-  BatchRequest R;
+Expected<BatchRecords> wire::decodeBatchRecords(WireReader &In) {
+  BatchRecords R;
   uint32_t Count;
   if (!In.u32(R.SessionId) || !In.u32(Count))
     return truncated();
-  // 13 wire bytes per event; a count the remaining bytes cannot hold is
-  // rejected before the reserve, so a forged count cannot balloon memory.
-  if (static_cast<uint64_t>(Count) * 13 != In.remaining())
-    return Expected<BatchRequest>(Status(
+  // A count the remaining bytes cannot hold is rejected before anything is
+  // sized from it, so a forged count cannot balloon memory. After this one
+  // check every record is in bounds.
+  std::span<const uint8_t> Body;
+  if (static_cast<uint64_t>(Count) * kBatchEventBytes != In.remaining() ||
+      !In.bytes(In.remaining(), Body))
+    return Expected<BatchRecords>(Status(
         ErrorCode::ProtocolError, "event count does not match body size"));
-  R.Events.reserve(Count);
   for (uint32_t I = 0; I < Count; ++I) {
-    BatchEvent E;
-    uint8_t V;
-    if (!In.u8(V) || !In.u32(E.Op) || !In.i32(E.Cycle) || !In.i32(E.Instance))
-      return truncated();
+    uint8_t V = Body[I * kBatchEventBytes];
     if (V > static_cast<uint8_t>(Verb::Reset))
-      return Expected<BatchRequest>(
+      return Expected<BatchRecords>(
           Status(ErrorCode::ProtocolError,
                  "unknown verb " + std::to_string(V) + " in event " +
                      std::to_string(I)));
-    E.TheVerb = static_cast<Verb>(V);
-    R.Events.push_back(E);
   }
-  return finish(In, std::move(R));
+  R.Data = Body.data();
+  R.Count = Count;
+  return finish(In, R);
+}
+
+Expected<BatchRequest> wire::decodeBatchRequest(WireReader &In) {
+  Expected<BatchRecords> Records = decodeBatchRecords(In);
+  if (!Records)
+    return Records.status();
+  const BatchRecords &Body = Records.value();
+  BatchRequest R;
+  R.SessionId = Body.sessionId();
+  R.Events.resize(Body.size());
+  for (size_t I = 0; I < Body.size(); ++I)
+    R.Events[I] = Body[I];
+  return R;
 }
 
 std::vector<uint8_t> wire::encodeRequest(uint32_t RequestId,
@@ -374,14 +417,24 @@ Expected<OpenSessionReply> wire::decodeOpenSessionReply(WireReader &In) {
   return finish(In, R);
 }
 
+std::vector<uint8_t> wire::encodeBatchReply(uint32_t RequestId,
+                                            uint32_t Count) {
+  WireWriter Out;
+  Out.reserve(kBatchResultsOffset + Count);
+  putOkPrefix(Out, MessageType::Batch, RequestId);
+  Out.u32(Count);
+  Out.extend(Count);
+  return Out.take();
+}
+
 std::vector<uint8_t> wire::encodeReply(uint32_t RequestId,
                                        const BatchReply &R) {
-  WireWriter Out;
-  putOkPrefix(Out, MessageType::Batch, RequestId);
-  Out.u32(static_cast<uint32_t>(R.Results.size()));
-  for (uint8_t B : R.Results)
-    Out.u8(B);
-  return Out.take();
+  std::vector<uint8_t> Bytes =
+      encodeBatchReply(RequestId, static_cast<uint32_t>(R.Results.size()));
+  if (!R.Results.empty())
+    std::memcpy(Bytes.data() + kBatchResultsOffset, R.Results.data(),
+                R.Results.size());
+  return Bytes;
 }
 
 Expected<BatchReply> wire::decodeBatchReply(WireReader &In) {
@@ -389,12 +442,11 @@ Expected<BatchReply> wire::decodeBatchReply(WireReader &In) {
   uint32_t Count;
   if (!In.u32(Count))
     return truncated();
-  if (Count != In.remaining())
+  std::span<const uint8_t> Results;
+  if (Count != In.remaining() || !In.bytes(Count, Results))
     return Expected<BatchReply>(Status(
         ErrorCode::ProtocolError, "result count does not match body size"));
-  R.Results.resize(Count);
-  for (uint32_t I = 0; I < Count; ++I)
-    In.u8(R.Results[I]);
+  R.Results.assign(Results.begin(), Results.end());
   return finish(In, std::move(R));
 }
 
@@ -513,4 +565,40 @@ std::vector<uint8_t> wire::encodeReply(uint32_t RequestId,
 
 Expected<ShutdownReply> wire::decodeShutdownReply(WireReader &In) {
   return finish(In, ShutdownReply{});
+}
+
+//===----------------------------------------------------------------------===//
+// Framing
+//===----------------------------------------------------------------------===//
+
+int wire::writeFrame(int Fd, const uint8_t *Payload, size_t Size) {
+  uint8_t LenBytes[4];
+  store32(LenBytes, static_cast<uint32_t>(Size));
+  iovec Iov[2] = {{LenBytes, sizeof(LenBytes)},
+                  {const_cast<uint8_t *>(Payload), Size}};
+  msghdr Msg{};
+  Msg.msg_iov = Iov;
+  Msg.msg_iovlen = 2;
+  while (Msg.msg_iovlen) {
+    ssize_t N = ::sendmsg(Fd, &Msg, MSG_NOSIGNAL);
+    if (N < 0) {
+      if (errno == EINTR)
+        continue;
+      return errno;
+    }
+    // Short write: drop the iovecs that went out whole and trim the first
+    // one that did not.
+    size_t Sent = static_cast<size_t>(N);
+    while (Msg.msg_iovlen && Sent >= Msg.msg_iov->iov_len) {
+      Sent -= Msg.msg_iov->iov_len;
+      ++Msg.msg_iov;
+      --Msg.msg_iovlen;
+    }
+    if (Msg.msg_iovlen) {
+      Msg.msg_iov->iov_base = static_cast<uint8_t *>(Msg.msg_iov->iov_base) +
+                              Sent;
+      Msg.msg_iov->iov_len -= Sent;
+    }
+  }
+  return 0;
 }

@@ -23,6 +23,15 @@
 /// yields an Expected error, and a decoded value re-encodes to the
 /// identical bytes (tests/ServerProtocolTest round-trips every type).
 ///
+/// Batch, the hot message, has a bulk fixed-width codec: its request body
+/// is u32 SessionId, u32 Count and Count packed kBatchEventBytes records
+/// (u8 verb, u32 op, i32 cycle, i32 instance); its reply body is u32 Count
+/// and one result byte per event. The encoders size the payload once and
+/// store records directly; decodeBatchRecords checks the count against
+/// the body size and every verb byte once, then hands out the records in
+/// place (BatchRecords), which is how the server executes a batch without
+/// copying it. writeFrame sends a frame with one sendmsg.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RMD_SERVER_PROTOCOL_H
@@ -32,6 +41,7 @@
 #include "support/Status.h"
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,7 +68,9 @@ enum class MessageType : uint8_t {
 
 /// Batch event verbs. CheckAssign only assigns when the check succeeds, so
 /// it is always safe to issue; plain Assign/Free follow the query-module
-/// contract (the caller must know the placement is legal / live).
+/// contract (the caller must know the placement is legal / live). Reset
+/// clears the session and ignores the event's Op, Cycle and Instance: the
+/// server neither range-checks nor reads them.
 enum class Verb : uint8_t {
   Check = 0,
   Assign = 1,
@@ -67,6 +79,10 @@ enum class Verb : uint8_t {
   AssignFree = 4,
   Reset = 5,
 };
+
+/// Wire bytes of one packed Batch event record: u8 verb, u32 op, i32
+/// cycle, i32 instance.
+inline constexpr size_t kBatchEventBytes = 13;
 
 /// Per-event result bytes in a Batch response.
 inline constexpr uint8_t kResultDone = 0xFF; ///< Assign/Free/Reset applied
@@ -190,12 +206,16 @@ struct ShutdownReply {};
 /// Append-only little-endian payload writer.
 class WireWriter {
 public:
+  void reserve(size_t N) { Bytes.reserve(N); }
   void u8(uint8_t V) { Bytes.push_back(V); }
   void u16(uint16_t V);
   void u32(uint32_t V);
   void u64(uint64_t V);
   void i32(int32_t V) { u32(static_cast<uint32_t>(V)); }
   void str(const std::string &S);
+  /// Appends \p N zero bytes and returns where they start, for a caller
+  /// that stores fixed-width records directly.
+  uint8_t *extend(size_t N);
 
   std::vector<uint8_t> take() { return std::move(Bytes); }
   const std::vector<uint8_t> &bytes() const { return Bytes; }
@@ -218,6 +238,9 @@ public:
   bool u64(uint64_t &V);
   bool i32(int32_t &V);
   bool str(std::string &S);
+  /// Hands out the next \p N bytes in place, without copying, and moves
+  /// past them; false (leaving \p Out untouched) when fewer remain.
+  bool bytes(size_t N, std::span<const uint8_t> &Out);
 
   size_t remaining() const { return Size - Pos; }
   bool atEnd() const { return Pos == Size; }
@@ -226,6 +249,35 @@ private:
   const uint8_t *Data;
   size_t Size;
   size_t Pos = 0;
+};
+
+/// A Batch request body read in place: the session id and a view of the
+/// packed event records inside the payload. Only decodeBatchRecords makes
+/// one, after the count/size check and a scan of every verb byte, so
+/// operator[] reads a record with no further checks. The view borrows the
+/// payload and must not outlive it.
+class BatchRecords {
+public:
+  uint32_t sessionId() const { return SessionId; }
+  size_t size() const { return Count; }
+  BatchEvent operator[](size_t I) const {
+    const uint8_t *P = Data + I * kBatchEventBytes;
+    return {static_cast<Verb>(P[0]), load32(P + 1),
+            static_cast<int32_t>(load32(P + 5)),
+            static_cast<int32_t>(load32(P + 9))};
+  }
+
+private:
+  friend Expected<BatchRecords> decodeBatchRecords(WireReader &In);
+  static uint32_t load32(const uint8_t *P) {
+    return static_cast<uint32_t>(P[0]) | static_cast<uint32_t>(P[1]) << 8 |
+           static_cast<uint32_t>(P[2]) << 16 |
+           static_cast<uint32_t>(P[3]) << 24;
+  }
+
+  const uint8_t *Data = nullptr;
+  size_t Count = 0;
+  uint32_t SessionId = 0;
 };
 
 /// Encodes the payload of a request message: header + body.
@@ -256,6 +308,14 @@ std::vector<uint8_t> encodeReply(uint32_t RequestId,
                                  const CloseSessionReply &R);
 std::vector<uint8_t> encodeReply(uint32_t RequestId, const ShutdownReply &R);
 
+/// Offset of the first result byte in an ok Batch reply payload: header,
+/// u16 status, u32 count.
+inline constexpr size_t kBatchResultsOffset = 8 + 2 + 4;
+
+/// An ok Batch reply payload for \p Count events whose result bytes, from
+/// kBatchResultsOffset on, are zero for the caller to fill in place.
+std::vector<uint8_t> encodeBatchReply(uint32_t RequestId, uint32_t Count);
+
 /// Encodes an error response payload for message type \p Type (the request
 /// bit; the response bit is added here): header + code + message.
 std::vector<uint8_t> encodeErrorReply(uint32_t RequestId, MessageType Type,
@@ -272,6 +332,11 @@ Expected<PingRequest> decodePingRequest(WireReader &In);
 Expected<LoadMachineRequest> decodeLoadMachineRequest(WireReader &In);
 Expected<OpenSessionRequest> decodeOpenSessionRequest(WireReader &In);
 Expected<BatchRequest> decodeBatchRequest(WireReader &In);
+/// The Batch body without the copy: decodeBatchRequest is this plus one
+/// pass that materializes the events. Errors (truncated body, count that
+/// does not match the body size, unknown verb with its event index) are
+/// the same for both.
+Expected<BatchRecords> decodeBatchRecords(WireReader &In);
 Expected<ScheduleLoopRequest> decodeScheduleLoopRequest(WireReader &In);
 Expected<StatsRequest> decodeStatsRequest(WireReader &In);
 Expected<CloseSessionRequest> decodeCloseSessionRequest(WireReader &In);
@@ -293,6 +358,13 @@ Expected<ScheduleLoopReply> decodeScheduleLoopReply(WireReader &In);
 Expected<StatsReply> decodeStatsReply(WireReader &In);
 Expected<CloseSessionReply> decodeCloseSessionReply(WireReader &In);
 Expected<ShutdownReply> decodeShutdownReply(WireReader &In);
+
+/// Writes \p Size payload bytes to the stream socket \p Fd as one frame:
+/// the u32 length prefix and the payload go out in a single sendmsg (two
+/// iovecs), and a short write is finished by further calls. MSG_NOSIGNAL
+/// turns a vanished peer into EPIPE instead of SIGPIPE. Returns 0, or the
+/// errno of the call that failed.
+int writeFrame(int Fd, const uint8_t *Payload, size_t Size);
 
 } // namespace wire
 } // namespace rmd

@@ -73,23 +73,6 @@ static bool readFully(int Fd, void *Buf, size_t Size) {
   return true;
 }
 
-/// Writes exactly \p Size bytes; false on a vanished peer.
-static bool writeFully(int Fd, const void *Buf, size_t Size) {
-  const uint8_t *In = static_cast<const uint8_t *>(Buf);
-  while (Size) {
-    // MSG_NOSIGNAL: a dead peer yields EPIPE, not a process-wide SIGPIPE.
-    ssize_t N = ::send(Fd, In, Size, MSG_NOSIGNAL);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    In += N;
-    Size -= static_cast<size_t>(N);
-  }
-  return true;
-}
-
 RmdServer::RmdServer(ServerOptions TheOptions)
     : Options(std::move(TheOptions)), Queue(Options.QueueCapacity) {}
 
@@ -329,13 +312,8 @@ size_t RmdServer::sessionCount() const {
 
 void RmdServer::sendFrame(Connection &Conn,
                           const std::vector<uint8_t> &Payload) {
-  uint8_t LenBytes[4];
-  uint32_t Len = static_cast<uint32_t>(Payload.size());
-  for (int I = 0; I < 4; ++I)
-    LenBytes[I] = static_cast<uint8_t>(Len >> (8 * I));
   std::lock_guard<std::mutex> Lock(Conn.WriteMutex);
-  if (writeFully(Conn.Fd, LenBytes, 4))
-    writeFully(Conn.Fd, Payload.data(), Payload.size());
+  writeFrame(Conn.Fd, Payload.data(), Payload.size());
 }
 
 void RmdServer::peekFrame(const std::vector<uint8_t> &Payload,
@@ -404,7 +382,7 @@ void RmdServer::handleRequest(Connection &Conn,
     break;
   }
   case MessageType::Batch: {
-    Expected<BatchRequest> R = decodeBatchRequest(In);
+    Expected<BatchRecords> R = decodeBatchRecords(In);
     if (!R)
       Error = R.status();
     else
@@ -550,69 +528,74 @@ RmdServer::findSession(uint32_t Id, uint64_t ConnId, Status &Error) {
   return It->second;
 }
 
-std::vector<uint8_t> RmdServer::handleBatch(const BatchRequest &R,
+std::vector<uint8_t> RmdServer::handleBatch(const BatchRecords &R,
                                             uint64_t ConnId,
                                             uint32_t RequestId,
                                             Status &Error) {
-  std::shared_ptr<Session> S = findSession(R.SessionId, ConnId, Error);
+  std::shared_ptr<Session> S = findSession(R.sessionId(), ConnId, Error);
   if (!S)
     return {};
 
   // Validate the whole batch before touching the module: the query API
   // treats out-of-range ops/cycles and self-conflicting placements as
   // caller contract violations (asserts), so the trust boundary is here.
+  // Reset ignores Op, Cycle and Instance, so none of them is checked (or
+  // used to index anything) for it.
   const size_t NumOps = S->Machine->reduced().numOperations();
   const bool Modulo = S->Config.Mode == QueryConfig::Modulo;
-  for (size_t I = 0; I < R.Events.size(); ++I) {
-    const BatchEvent &E = R.Events[I];
-    std::string What;
-    if (E.TheVerb != Verb::Reset && E.Op >= NumOps)
-      What = "operation " + std::to_string(E.Op) + " out of range";
-    else if (!Modulo && E.TheVerb != Verb::Reset &&
-             E.Cycle < S->Config.MinCycle)
-      What = "cycle " + std::to_string(E.Cycle) +
-             " below the session's linear window";
-    else if (Modulo && !S->SelfConflict.empty() && S->SelfConflict[E.Op] &&
-             (E.TheVerb == Verb::Assign || E.TheVerb == Verb::AssignFree ||
-              E.TheVerb == Verb::CheckAssign))
-      What = "operation " + std::to_string(E.Op) +
-             " self-conflicts at this II and can never be placed";
-    if (!What.empty()) {
-      Error = Status(ErrorCode::ProtocolError,
-                     "event " + std::to_string(I) + ": " + What);
-      return {};
-    }
+  auto Reject = [&Error](size_t I, const std::string &What) {
+    Error = Status(ErrorCode::ProtocolError,
+                   "event " + std::to_string(I) + ": " + What);
+    return std::vector<uint8_t>();
+  };
+  for (size_t I = 0; I < R.size(); ++I) {
+    const BatchEvent E = R[I];
+    if (E.TheVerb == Verb::Reset)
+      continue;
+    if (E.Op >= NumOps)
+      return Reject(I, "operation " + std::to_string(E.Op) + " out of range");
+    if (!Modulo && E.Cycle < S->Config.MinCycle)
+      return Reject(I, "cycle " + std::to_string(E.Cycle) +
+                           " below the session's linear window");
+    if (Modulo && !S->SelfConflict.empty() && S->SelfConflict[E.Op] &&
+        (E.TheVerb == Verb::Assign || E.TheVerb == Verb::AssignFree ||
+         E.TheVerb == Verb::CheckAssign))
+      return Reject(I, "operation " + std::to_string(E.Op) +
+                           " self-conflicts at this II and can never be "
+                           "placed");
   }
 
-  BatchReply Reply;
-  Reply.Results.resize(R.Events.size());
+  // Each answer goes straight into the reply payload.
+  std::vector<uint8_t> Reply =
+      encodeBatchReply(RequestId, static_cast<uint32_t>(R.size()));
+  uint8_t *Results = Reply.data() + kBatchResultsOffset;
   std::vector<InstanceId> Evicted;
   {
     std::lock_guard<std::mutex> Lock(S->Mutex);
     ContentionQueryModule &Q = *S->Module;
-    for (size_t I = 0; I < R.Events.size(); ++I) {
-      const BatchEvent &E = R.Events[I];
+    for (size_t I = 0; I < R.size(); ++I) {
+      const BatchEvent E = R[I];
       switch (E.TheVerb) {
       case Verb::Check:
-        Reply.Results[I] = Q.check(E.Op, E.Cycle) ? 1 : 0;
+        Results[I] = Q.check(E.Op, E.Cycle) ? 1 : 0;
         break;
       case Verb::Assign:
         Q.assign(E.Op, E.Cycle, E.Instance);
         ++S->LiveInstances;
-        Reply.Results[I] = kResultDone;
+        Results[I] = kResultDone;
         break;
       case Verb::Free:
         Q.free(E.Op, E.Cycle, E.Instance);
         --S->LiveInstances;
-        Reply.Results[I] = kResultDone;
+        Results[I] = kResultDone;
         break;
       case Verb::CheckAssign:
         if (Q.check(E.Op, E.Cycle)) {
           Q.assign(E.Op, E.Cycle, E.Instance);
           ++S->LiveInstances;
-          Reply.Results[I] = 1;
+          Results[I] = 1;
         } else {
-          Reply.Results[I] = 0;
+          Results[I] = 0;
         }
         break;
       case Verb::AssignFree: {
@@ -620,26 +603,28 @@ std::vector<uint8_t> RmdServer::handleBatch(const BatchRequest &R,
         Q.assignAndFree(E.Op, E.Cycle, E.Instance, Evicted);
         S->LiveInstances += 1;
         S->LiveInstances -= Evicted.size();
-        Reply.Results[I] = static_cast<uint8_t>(
+        Results[I] = static_cast<uint8_t>(
             std::min<size_t>(Evicted.size(), 0xFE));
         break;
       }
       case Verb::Reset:
         Q.reset();
         S->LiveInstances = 0;
-        Reply.Results[I] = kResultDone;
+        Results[I] = kResultDone;
         break;
       }
     }
+    if (!S->Tenant.empty()) {
+      // Per-tenant accounting: one counter per tenant name, registered at
+      // the session's first batch (the registry is idempotent per name, so
+      // sessions of one tenant share it) and kept for the session's life.
+      if (!S->TenantQueries)
+        S->TenantQueries.emplace("server.tenant." + S->Tenant + ".queries");
+      S->TenantQueries->add(R.size());
+    }
   }
-  StatBatchQueries.add(R.Events.size());
-  if (!S->Tenant.empty()) {
-    // Per-tenant accounting: a counter per tenant name, registered lazily
-    // (the registry is idempotent per name) and summed across sessions.
-    StatCounter("server.tenant." + S->Tenant + ".queries")
-        .add(R.Events.size());
-  }
-  return encodeReply(RequestId, Reply);
+  StatBatchQueries.add(R.size());
+  return Reply;
 }
 
 std::vector<uint8_t>

@@ -36,6 +36,7 @@
 #include "server/Protocol.h"
 #include "support/BoundedQueue.h"
 #include "support/Deadline.h"
+#include "support/Stats.h"
 #include "support/Status.h"
 #include "support/ThreadPool.h"
 
@@ -46,6 +47,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -127,6 +129,9 @@ private:
     /// module treats that as a caller contract violation.
     std::vector<uint8_t> SelfConflict;
     uint64_t LiveInstances = 0;
+    /// server.tenant.<Tenant>.queries, registered at the first batch of a
+    /// session with a tenant (guarded by Mutex).
+    std::optional<StatCounter> TenantQueries;
   };
 
   struct WorkItem {
@@ -148,8 +153,9 @@ private:
   void reapFinishedReaders(bool JoinAll);
   void closeConnectionSessions(uint64_t ConnId);
 
-  /// Writes one length-prefixed frame (best-effort: a vanished peer is not
-  /// an error worth acting on beyond teardown).
+  /// Writes one length-prefixed frame with one sendmsg (wire::writeFrame;
+  /// best-effort: a vanished peer is not an error worth acting on beyond
+  /// teardown).
   void sendFrame(Connection &Conn, const std::vector<uint8_t> &Payload);
 
   /// Best-effort (type, request id) extraction from a raw payload, for
@@ -166,7 +172,7 @@ private:
   std::vector<uint8_t> handleOpenSession(const wire::OpenSessionRequest &R,
                                          uint64_t ConnId, uint32_t RequestId,
                                          Status &Error);
-  std::vector<uint8_t> handleBatch(const wire::BatchRequest &R,
+  std::vector<uint8_t> handleBatch(const wire::BatchRecords &R,
                                    uint64_t ConnId, uint32_t RequestId,
                                    Status &Error);
   std::vector<uint8_t> handleScheduleLoop(const wire::ScheduleLoopRequest &R,

@@ -22,13 +22,19 @@
 #include "server/Client.h"
 #include "server/Server.h"
 #include "server/Workload.h"
+#include "support/Stats.h"
 
 #include "gtest/gtest.h"
 
 #include <atomic>
-#include <unistd.h>
+#include <cstring>
+#include <optional>
 #include <thread>
 #include <vector>
+
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 using namespace rmd;
 using namespace rmd::server;
@@ -326,6 +332,301 @@ TEST(ServerConcurrency, OverloadedIsStructuredNotFatal) {
       RmdClient::connect(Server.value()->socketPath(), 300000);
   ASSERT_TRUE(bool(C));
   EXPECT_TRUE(C.value()->ping().isOk());
+}
+
+TEST(ServerConcurrency, ResetIgnoresOpEvenOutOfRange) {
+  // Reset ignores Op, Cycle and Instance: the server must neither reject
+  // nor read anything through an out-of-range Op on a Reset, in a modulo
+  // session (whose self-conflict table is indexed by op) or a linear one.
+  // Any other verb with such an Op is rejected with its event index.
+  ServerOptions Options;
+  Options.SocketPath = uniqueSocket("reset");
+  Options.Workers = 2;
+  Expected<std::unique_ptr<RmdServer>> Server =
+      RmdServer::start(std::move(Options));
+  ASSERT_TRUE(bool(Server)) << Server.status().render();
+  Expected<std::unique_ptr<RmdClient>> C =
+      RmdClient::connect(Server.value()->socketPath(), 300000);
+  ASSERT_TRUE(bool(C)) << C.status().render();
+  Expected<LoadMachineReply> M = C.value()->loadMachine("cydra5");
+  ASSERT_TRUE(bool(M)) << M.status().render();
+  const uint32_t NumOps = M.value().NumOperations;
+
+  for (uint8_t Modulo : {uint8_t(1), uint8_t(0)}) {
+    OpenSessionRequest Open;
+    Open.MachineId = M.value().MachineId;
+    Open.Modulo = Modulo;
+    Open.ModuloII = 4;
+    Expected<OpenSessionReply> S = C.value()->openSession(Open);
+    ASSERT_TRUE(bool(S)) << S.status().render();
+    std::string What = Modulo ? "modulo II=4" : "linear";
+
+    BatchRequest Resets;
+    Resets.SessionId = S.value().SessionId;
+    Resets.Events.push_back({Verb::Reset, NumOps, 0, 0});
+    Resets.Events.push_back({Verb::Reset, 0xFFFFFFFFu, -1000, -1});
+    Resets.Events.push_back({Verb::Reset, 0xFFFFFFF0u, 0, 0});
+    Expected<BatchReply> R = C.value()->runBatch(Resets);
+    ASSERT_TRUE(bool(R)) << What << ": " << R.status().render();
+    EXPECT_EQ(R.value().Results,
+              std::vector<uint8_t>(3, kResultDone)) << What;
+
+    for (uint32_t Op : {NumOps, 0xFFFFFFFFu}) {
+      BatchRequest Bad;
+      Bad.SessionId = S.value().SessionId;
+      Bad.Events.push_back({Verb::Reset, Op, 0, 0});
+      Bad.Events.push_back({Verb::Check, Op, 0, 0});
+      Expected<BatchReply> Rejected = C.value()->runBatch(Bad);
+      ASSERT_FALSE(bool(Rejected)) << What;
+      EXPECT_EQ(Rejected.status().code(), ErrorCode::ProtocolError);
+      EXPECT_EQ(Rejected.status().message(),
+                "event 1: operation " + std::to_string(Op) + " out of range")
+          << What;
+    }
+
+    // The session is intact and still serves a valid batch.
+    BatchRequest Check;
+    Check.SessionId = S.value().SessionId;
+    Check.Events.push_back({Verb::Check, 0, 0, 0});
+    EXPECT_TRUE(bool(C.value()->runBatch(Check))) << What;
+  }
+}
+
+TEST(ServerConcurrency, TenantCounterCountsAcceptedBatchEvents) {
+  // server.tenant.<name>.queries is created at a tenant's first accepted
+  // batch and sums the events of every session of that tenant; rejected
+  // batches count nothing.
+  ServerOptions Options;
+  Options.SocketPath = uniqueSocket("tenant");
+  Options.Workers = 2;
+  Expected<std::unique_ptr<RmdServer>> Server =
+      RmdServer::start(std::move(Options));
+  ASSERT_TRUE(bool(Server)) << Server.status().render();
+  Expected<std::unique_ptr<RmdClient>> C =
+      RmdClient::connect(Server.value()->socketPath(), 300000);
+  ASSERT_TRUE(bool(C)) << C.status().render();
+  Expected<LoadMachineReply> M = C.value()->loadMachine("cydra5");
+  ASSERT_TRUE(bool(M)) << M.status().render();
+
+  const std::string Tenant = "acct-" + std::to_string(::getpid());
+  const std::string Key = "server.tenant." + Tenant + ".queries";
+  auto Count = [&Key]() -> std::optional<uint64_t> {
+    StatsSnapshot Snap = StatsRegistry::instance().snapshot();
+    auto It = Snap.Counters.find(Key);
+    if (It == Snap.Counters.end())
+      return std::nullopt;
+    return It->second;
+  };
+
+  OpenSessionRequest Open;
+  Open.MachineId = M.value().MachineId;
+  Open.Tenant = Tenant;
+  uint32_t Sessions[2];
+  for (uint32_t &Id : Sessions) {
+    Expected<OpenSessionReply> S = C.value()->openSession(Open);
+    ASSERT_TRUE(bool(S)) << S.status().render();
+    Id = S.value().SessionId;
+  }
+
+  BatchRequest Rejected;
+  Rejected.SessionId = Sessions[0];
+  Rejected.Events.push_back({Verb::Check, 0, 0, 0});
+  Rejected.Events.push_back({Verb::Check, M.value().NumOperations, 0, 0});
+  ASSERT_FALSE(bool(C.value()->runBatch(Rejected)));
+  EXPECT_FALSE(Count().has_value()) << "registered before the first batch";
+
+  size_t Sizes[] = {3, 5, 2};
+  for (size_t B = 0; B < 3; ++B) {
+    BatchRequest Req;
+    Req.SessionId = Sessions[B % 2];
+    Req.Events.assign(Sizes[B], {Verb::Check, 0, 0, 0});
+    ASSERT_TRUE(bool(C.value()->runBatch(Req)));
+  }
+  EXPECT_EQ(Count(), std::optional<uint64_t>(10));
+}
+
+/// A raw client for the framing test: frames built by hand, sent in
+/// pieces, replies read back by the same rules the reader applies.
+class RawConnection {
+public:
+  explicit RawConnection(const std::string &Path) {
+    Fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    sockaddr_un Addr{};
+    Addr.sun_family = AF_UNIX;
+    // '@' = abstract namespace: sun_path[0] stays NUL.
+    std::memcpy(Addr.sun_path + 1, Path.data() + 1, Path.size() - 1);
+    socklen_t Len =
+        static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + Path.size());
+    timeval Tv{300, 0};
+    ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Tv, sizeof(Tv));
+    Ok = Fd >= 0 &&
+         ::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), Len) == 0;
+  }
+  ~RawConnection() {
+    if (Fd >= 0)
+      ::close(Fd);
+  }
+
+  bool ok() const { return Ok; }
+
+  /// Sends \p Payload's frame cut at \p Cuts (ascending offsets into the
+  /// frame, length prefix included), sleeping between the pieces.
+  bool sendInPieces(const std::vector<uint8_t> &Payload,
+                    std::vector<size_t> Cuts) {
+    std::vector<uint8_t> Frame(4);
+    for (int I = 0; I < 4; ++I)
+      Frame[I] = static_cast<uint8_t>(Payload.size() >> (8 * I));
+    Frame.insert(Frame.end(), Payload.begin(), Payload.end());
+    Cuts.push_back(Frame.size());
+    size_t From = 0;
+    for (size_t To : Cuts) {
+      if (From != 0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      if (!sendAll(Frame.data() + From, To - From))
+        return false;
+      From = To;
+    }
+    return true;
+  }
+
+  bool send(const std::vector<uint8_t> &Payload) {
+    return sendInPieces(Payload, {});
+  }
+
+  /// Reads one reply frame's payload; empty on EOF, timeout or error.
+  std::vector<uint8_t> recvFrame() {
+    uint8_t LenBytes[4];
+    if (!recvAll(LenBytes, 4))
+      return {};
+    uint32_t Len = 0;
+    for (int I = 0; I < 4; ++I)
+      Len |= static_cast<uint32_t>(LenBytes[I]) << (8 * I);
+    if (Len == 0 || Len > kMaxFrameBytes)
+      return {};
+    std::vector<uint8_t> Payload(Len);
+    if (!recvAll(Payload.data(), Len))
+      return {};
+    return Payload;
+  }
+
+private:
+  bool sendAll(const uint8_t *P, size_t N) {
+    while (N) {
+      ssize_t Sent = ::send(Fd, P, N, MSG_NOSIGNAL);
+      if (Sent <= 0)
+        return false;
+      P += Sent;
+      N -= static_cast<size_t>(Sent);
+    }
+    return true;
+  }
+  bool recvAll(uint8_t *P, size_t N) {
+    while (N) {
+      ssize_t Got = ::recv(Fd, P, N, 0);
+      if (Got <= 0)
+        return false;
+      P += Got;
+      N -= static_cast<size_t>(Got);
+    }
+    return true;
+  }
+
+  int Fd = -1;
+  bool Ok = false;
+};
+
+/// Decodes an ok reply payload of type \p Type and returns its request id
+/// and body through \p Decode; fails the test on anything else.
+template <typename T, typename DecodeFn>
+Expected<T> decodeRawReply(const std::vector<uint8_t> &Payload,
+                           MessageType Type, uint32_t &RequestId,
+                           DecodeFn Decode) {
+  WireReader In(Payload);
+  Expected<FrameHeader> H = decodeHeader(In, /*ExpectResponse=*/true);
+  if (!H)
+    return H.status();
+  EXPECT_EQ(H.value().Type & ~kResponseBit, static_cast<uint8_t>(Type));
+  RequestId = H.value().RequestId;
+  Status ServerStatus;
+  if (Status S = decodeReplyStatus(In, ServerStatus); !S)
+    return S;
+  if (!ServerStatus)
+    return ServerStatus;
+  return Decode(In);
+}
+
+TEST(ServerConcurrency, FramesSentInPiecesAreReassembled) {
+  // The reader must reassemble a frame whose length prefix and payload
+  // arrive in several pieces, answer it exactly as RmdClient::runBatch's
+  // frame is answered, and then answer the next frame on the connection.
+  ServerOptions Options;
+  Options.SocketPath = uniqueSocket("pieces");
+  Options.Workers = 2;
+  Expected<std::unique_ptr<RmdServer>> Server =
+      RmdServer::start(std::move(Options));
+  ASSERT_TRUE(bool(Server)) << Server.status().render();
+  const std::string &Socket = Server.value()->socketPath();
+
+  RawConnection Raw(Socket);
+  ASSERT_TRUE(Raw.ok());
+  uint32_t Id = 0;
+  ASSERT_TRUE(Raw.send(encodeRequest(1, LoadMachineRequest{"cydra5"})));
+  Expected<LoadMachineReply> M = decodeRawReply<LoadMachineReply>(
+      Raw.recvFrame(), MessageType::LoadMachine, Id, decodeLoadMachineReply);
+  ASSERT_TRUE(bool(M)) << M.status().render();
+  EXPECT_EQ(Id, 1u);
+  OpenSessionRequest Open;
+  Open.MachineId = M.value().MachineId;
+  uint32_t Sessions[2];
+  for (uint32_t I = 0; I < 2; ++I) {
+    ASSERT_TRUE(Raw.send(encodeRequest(2 + I, Open)));
+    Expected<OpenSessionReply> S = decodeRawReply<OpenSessionReply>(
+        Raw.recvFrame(), MessageType::OpenSession, Id,
+        decodeOpenSessionReply);
+    ASSERT_TRUE(bool(S)) << S.status().render();
+    Sessions[I] = S.value().SessionId;
+  }
+
+  // The same two seeded batches through RmdClient on sessions of its own.
+  MachineDescription Reduced = reducedFor(makeCydra5());
+  BatchRequest Batches[2];
+  std::vector<uint8_t> Want[2];
+  for (size_t I = 0; I < 2; ++I) {
+    WorkloadGenerator Gen(Reduced, QueryConfig::linear(0), 0xf4a3e + I);
+    Gen.nextBatch(300, Batches[I].Events, Want[I]);
+  }
+  Expected<std::unique_ptr<RmdClient>> C = RmdClient::connect(Socket, 300000);
+  ASSERT_TRUE(bool(C)) << C.status().render();
+  std::vector<uint8_t> ClientResults[2];
+  for (size_t I = 0; I < 2; ++I) {
+    Expected<OpenSessionReply> S = C.value()->openSession(Open);
+    ASSERT_TRUE(bool(S)) << S.status().render();
+    Batches[I].SessionId = S.value().SessionId;
+    Expected<BatchReply> R = C.value()->runBatch(Batches[I]);
+    ASSERT_TRUE(bool(R)) << R.status().render();
+    ClientResults[I] = R.value().Results;
+    EXPECT_EQ(ClientResults[I], Want[I]);
+  }
+
+  // Frame 1: the length prefix split 1+3, the payload in four more pieces.
+  // Frame 2, on the other raw session, goes out straight after in one
+  // piece, before frame 1 is answered.
+  Batches[0].SessionId = Sessions[0];
+  Batches[1].SessionId = Sessions[1];
+  std::vector<uint8_t> First = encodeRequest(10, Batches[0]);
+  ASSERT_TRUE(Raw.sendInPieces(First, {1, 4, 5, 21, 1000, 2500}));
+  ASSERT_TRUE(Raw.send(encodeRequest(11, Batches[1])));
+
+  // The two sessions are independent, so the replies may come back in
+  // either order; each is matched by its request id.
+  for (int Reply = 0; Reply < 2; ++Reply) {
+    Expected<BatchReply> R = decodeRawReply<BatchReply>(
+        Raw.recvFrame(), MessageType::Batch, Id, decodeBatchReply);
+    ASSERT_TRUE(bool(R)) << R.status().render();
+    ASSERT_TRUE(Id == 10 || Id == 11) << Id;
+    EXPECT_EQ(R.value().Results, ClientResults[Id - 10])
+        << "request " << Id;
+  }
 }
 
 } // namespace

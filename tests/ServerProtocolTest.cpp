@@ -11,6 +11,15 @@
 
 #include "gtest/gtest.h"
 
+#include <atomic>
+#include <chrono>
+#include <csignal>
+#include <thread>
+
+#include <pthread.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 using namespace rmd;
 using namespace rmd::wire;
 
@@ -426,6 +435,82 @@ TEST(ServerProtocol, GarbagePayloadNeverDecodes) {
       break;
     }
   }
+}
+
+//===--------------------------------------------------------------------===//
+// Framing: writeFrame's one sendmsg per frame.
+//===--------------------------------------------------------------------===//
+
+TEST(ServerProtocol, WriteFrameFinishesShortWrites) {
+  // A blocking sendmsg that a signal interrupts after part of the frame
+  // went out returns short (or fails with EINTR when nothing did).
+  // writeFrame must finish the frame either way, across the boundary of
+  // its two iovecs, so the peer reads the exact length prefix and payload.
+  struct sigaction Action = {}, Saved = {};
+  Action.sa_handler = [](int) {};
+  sigemptyset(&Action.sa_mask);
+  Action.sa_flags = 0; // no SA_RESTART: interrupted calls return early
+  ASSERT_EQ(::sigaction(SIGUSR2, &Action, &Saved), 0);
+
+  int Fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, Fds), 0);
+  int SmallBuf = 4096;
+  ::setsockopt(Fds[0], SOL_SOCKET, SO_SNDBUF, &SmallBuf, sizeof(SmallBuf));
+  ::setsockopt(Fds[1], SOL_SOCKET, SO_RCVBUF, &SmallBuf, sizeof(SmallBuf));
+
+  std::vector<uint8_t> Payload(512 * 1024);
+  for (size_t I = 0; I < Payload.size(); ++I)
+    Payload[I] = static_cast<uint8_t>(I * 131 + (I >> 9));
+
+  std::atomic<bool> Done{false};
+  int Err = -1;
+  std::thread Writer([&] {
+    Err = writeFrame(Fds[0], Payload.data(), Payload.size());
+    Done.store(true);
+  });
+  // Interrupt the writer while a slow reader drains the socket.
+  std::thread Signaler([&] {
+    while (!Done.load()) {
+      ::pthread_kill(Writer.native_handle(), SIGUSR2);
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
+    }
+  });
+  std::vector<uint8_t> Got;
+  uint8_t Chunk[8192];
+  while (Got.size() < 4 + Payload.size()) {
+    ssize_t N = ::recv(Fds[1], Chunk, sizeof(Chunk), 0);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0)
+      break;
+    Got.insert(Got.end(), Chunk, Chunk + N);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  // The signaler first: the writer's handle stays valid until it is joined.
+  Signaler.join();
+  Writer.join();
+  ::sigaction(SIGUSR2, &Saved, nullptr);
+  ::close(Fds[0]);
+  ::close(Fds[1]);
+
+  EXPECT_EQ(Err, 0);
+  ASSERT_EQ(Got.size(), 4 + Payload.size());
+  uint32_t Len = 0;
+  for (int I = 0; I < 4; ++I)
+    Len |= static_cast<uint32_t>(Got[I]) << (8 * I);
+  EXPECT_EQ(Len, Payload.size());
+  EXPECT_TRUE(std::equal(Payload.begin(), Payload.end(), Got.begin() + 4));
+}
+
+TEST(ServerProtocol, WriteFrameReportsAVanishedPeer) {
+  // MSG_NOSIGNAL: a closed peer is EPIPE from writeFrame, not a SIGPIPE
+  // that kills the process.
+  int Fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, Fds), 0);
+  ::close(Fds[1]);
+  std::vector<uint8_t> Payload = encodeRequest(1, PingRequest{});
+  EXPECT_EQ(writeFrame(Fds[0], Payload.data(), Payload.size()), EPIPE);
+  ::close(Fds[0]);
 }
 
 } // namespace
