@@ -178,9 +178,10 @@ void expectRecoveryOrCleanError(const PipelineOutcome &Got,
   // completing at all rules out an abort), and teardown closed every
   // session.
   EXPECT_FALSE(Got.ServerLeakedSessions) << Spec;
-  if (!Got.ServerStatus.isOk())
+  if (!Got.ServerStatus.isOk()) {
     EXPECT_FALSE(Got.ServerStatus.message().empty())
         << Spec << ": structured errors carry a message";
+  }
 
   if (Got.ParseFailed)
     return; // the mdl.parse rung: a clean diagnostic, nothing scheduled
