@@ -12,11 +12,9 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <sstream>
 
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 using namespace rmd;
@@ -33,46 +31,6 @@ static StatCounter StatBatchQueries("server.batch.queries");
 static StatCounter StatScheduleLoops("server.schedule_loops");
 static StatCounter StatAcceptDrops("server.accept.dropped");
 
-/// Builds a sockaddr_un for \p Path. A leading '@' selects the Linux
-/// abstract namespace: sun_path[0] is NUL and the name is not on the
-/// filesystem, so tests and benches never create socket files.
-static bool fillSockAddr(const std::string &Path, sockaddr_un &Addr,
-                         socklen_t &Len) {
-  std::memset(&Addr, 0, sizeof(Addr));
-  Addr.sun_family = AF_UNIX;
-  if (Path.empty() || Path.size() >= sizeof(Addr.sun_path))
-    return false;
-  if (Path[0] == '@') {
-    Addr.sun_path[0] = '\0';
-    std::memcpy(Addr.sun_path + 1, Path.data() + 1, Path.size() - 1);
-    Len = static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) +
-                                 Path.size());
-  } else {
-    std::memcpy(Addr.sun_path, Path.data(), Path.size());
-    Len = static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) +
-                                 Path.size() + 1);
-  }
-  return true;
-}
-
-/// Reads exactly \p Size bytes; false on EOF/error.
-static bool readFully(int Fd, void *Buf, size_t Size) {
-  uint8_t *Out = static_cast<uint8_t *>(Buf);
-  while (Size) {
-    ssize_t N = ::recv(Fd, Out, Size, 0);
-    if (N == 0)
-      return false;
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    Out += N;
-    Size -= static_cast<size_t>(N);
-  }
-  return true;
-}
-
 RmdServer::RmdServer(ServerOptions TheOptions)
     : Options(std::move(TheOptions)), Queue(Options.QueueCapacity) {}
 
@@ -82,9 +40,10 @@ Expected<std::unique_ptr<RmdServer>> RmdServer::start(ServerOptions Options) {
   if (Options.QueueCapacity == 0)
     Options.QueueCapacity = 1;
   std::unique_ptr<RmdServer> Server(new RmdServer(std::move(Options)));
-  Status S = Server->bindAndListen();
-  if (!S)
-    return S;
+  Expected<int> Fd = openLocalSocket(Server->Options.SocketPath, true);
+  if (!Fd)
+    return Fd.status();
+  Server->ListenFd = Fd.value();
   unsigned W = ThreadPool::resolveThreadCount(Server->Options.Workers);
   Server->Options.Workers = W;
   Server->Workers = std::make_unique<ThreadPool>(W);
@@ -96,33 +55,6 @@ Expected<std::unique_ptr<RmdServer>> RmdServer::start(ServerOptions Options) {
 }
 
 RmdServer::~RmdServer() { stop(); }
-
-Status RmdServer::bindAndListen() {
-  sockaddr_un Addr;
-  socklen_t Len;
-  if (!fillSockAddr(Options.SocketPath, Addr, Len))
-    return Status(ErrorCode::ProtocolError,
-                  "bad socket path '" + Options.SocketPath + "'");
-  ListenFd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (ListenFd < 0)
-    return Status(ErrorCode::CacheIO,
-                  std::string("socket(): ") + std::strerror(errno));
-  if (::bind(ListenFd, reinterpret_cast<sockaddr *>(&Addr), Len) < 0) {
-    Status S(ErrorCode::CacheIO, "bind('" + Options.SocketPath +
-                                     "'): " + std::strerror(errno));
-    ::close(ListenFd);
-    ListenFd = -1;
-    return S;
-  }
-  if (::listen(ListenFd, 64) < 0) {
-    Status S(ErrorCode::CacheIO,
-             std::string("listen(): ") + std::strerror(errno));
-    ::close(ListenFd);
-    ListenFd = -1;
-    return S;
-  }
-  return Status::ok();
-}
 
 void RmdServer::acceptLoop() {
   while (true) {
@@ -163,35 +95,24 @@ void RmdServer::acceptLoop() {
 void RmdServer::readerLoop(ConnEntry *Entry) {
   Connection &Conn = *Entry->Conn;
   while (true) {
-    uint8_t LenBytes[4];
-    if (!readFully(Conn.Fd, LenBytes, 4))
-      break;
+    WorkItem Item;
     uint32_t Len = 0;
-    for (int I = 0; I < 4; ++I)
-      Len |= static_cast<uint32_t>(LenBytes[I]) << (8 * I);
-    if (Len == 0 || Len > kMaxFrameBytes) {
+    int Err = readFrame(Conn.Fd, Item.Payload, Len);
+    if (Err == kBadFrameLength) {
       // A garbage length prefix poisons the stream position; answer once
       // (best effort) and drop the connection rather than resync blindly.
-      ProtocolErrors.fetch_add(1);
-      StatProtocolErrors.add();
-      sendFrame(Conn, encodeErrorReply(
-                          0, MessageType::Ping,
-                          Status(ErrorCode::ProtocolError,
-                                 "frame length " + std::to_string(Len) +
-                                     " outside (0, " +
-                                     std::to_string(kMaxFrameBytes) + "]")));
+      sendError(Conn, MessageType::Ping, 0,
+                Status(ErrorCode::ProtocolError,
+                       "frame length " + std::to_string(Len) + " outside (0, " +
+                           std::to_string(kMaxFrameBytes) + "]"));
       break;
     }
-    WorkItem Item;
-    Item.Conn = Entry->Conn;
-    Item.Payload.resize(Len);
-    if (!readFully(Conn.Fd, Item.Payload.data(), Len))
+    if (Err)
       break;
+    Item.Conn = Entry->Conn;
     // Peek before the push: tryPush takes the item by value, so a failed
     // push has still consumed the payload.
-    MessageType Type;
-    uint32_t RequestId;
-    peekFrame(Item.Payload, Type, RequestId);
+    FrameHeader Peek = peekFrame(Item.Payload);
     bool InjectFull = FaultInjection::fire(faultpoints::ServerEnqueue);
     if (InjectFull || !Queue.tryPush(std::move(Item))) {
       // Backpressure: the queue is full (or behaves as if, under the
@@ -200,10 +121,8 @@ void RmdServer::readerLoop(ConnEntry *Entry) {
       // silently.
       Overloads.fetch_add(1);
       StatOverloads.add();
-      sendFrame(Conn, encodeErrorReply(
-                          RequestId, Type,
-                          Status(ErrorCode::Overloaded,
-                                 "server request queue is full")));
+      sendError(Conn, MessageType(Peek.Type), Peek.RequestId,
+                Status(ErrorCode::Overloaded, "server request queue is full"));
     }
   }
   closeConnectionSessions(Conn.Id);
@@ -316,19 +235,14 @@ void RmdServer::sendFrame(Connection &Conn,
   writeFrame(Conn.Fd, Payload.data(), Payload.size());
 }
 
-void RmdServer::peekFrame(const std::vector<uint8_t> &Payload,
-                          MessageType &Type, uint32_t &RequestId) {
-  Type = MessageType::Ping;
-  RequestId = 0;
-  if (Payload.size() >= 2) {
-    uint8_t Bare = Payload[1] & ~kResponseBit;
-    if (Bare >= static_cast<uint8_t>(MessageType::Ping) &&
-        Bare <= static_cast<uint8_t>(MessageType::Shutdown))
-      Type = static_cast<MessageType>(Bare);
-  }
+FrameHeader RmdServer::peekFrame(const std::vector<uint8_t> &Payload) {
+  FrameHeader H;
+  H.Type = static_cast<uint8_t>(MessageType::Ping);
+  if (Payload.size() >= 2 && isMessageType(Payload[1] & ~kResponseBit))
+    H.Type = Payload[1] & ~kResponseBit;
   if (Payload.size() >= 8)
-    for (int I = 0; I < 4; ++I)
-      RequestId |= static_cast<uint32_t>(Payload[4 + I]) << (8 * I);
+    H.RequestId = detail::load32(Payload.data() + 4);
+  return H;
 }
 
 void RmdServer::sendError(Connection &Conn, MessageType Type,
@@ -345,102 +259,50 @@ void RmdServer::handleRequest(Connection &Conn,
   WireReader In(Payload);
   Expected<FrameHeader> Header = decodeHeader(In, /*ExpectResponse=*/false);
   if (!Header) {
-    MessageType Type;
-    uint32_t RequestId;
-    peekFrame(Payload, Type, RequestId);
-    sendError(Conn, Type, RequestId, Header.status());
+    FrameHeader Peek = peekFrame(Payload);
+    sendError(Conn, MessageType(Peek.Type), Peek.RequestId, Header.status());
     return;
   }
   MessageType Type = static_cast<MessageType>(Header.value().Type);
   uint32_t RequestId = Header.value().RequestId;
-
-  Status Error = Status::ok();
-  std::vector<uint8_t> Reply;
-  switch (Type) {
-  case MessageType::Ping: {
-    Expected<PingRequest> R = decodePingRequest(In);
-    if (!R)
-      Error = R.status();
-    else
-      Reply = encodeReply(RequestId, PingReply{});
-    break;
-  }
-  case MessageType::LoadMachine: {
-    Expected<LoadMachineRequest> R = decodeLoadMachineRequest(In);
-    if (!R)
-      Error = R.status();
-    else
-      Reply = handleLoadMachine(R.value(), RequestId, Error);
-    break;
-  }
-  case MessageType::OpenSession: {
-    Expected<OpenSessionRequest> R = decodeOpenSessionRequest(In);
-    if (!R)
-      Error = R.status();
-    else
-      Reply = handleOpenSession(R.value(), Conn.Id, RequestId, Error);
-    break;
-  }
-  case MessageType::Batch: {
-    Expected<BatchRecords> R = decodeBatchRecords(In);
-    if (!R)
-      Error = R.status();
-    else
-      Reply = handleBatch(R.value(), Conn.Id, RequestId, Error);
-    break;
-  }
-  case MessageType::ScheduleLoop: {
-    Expected<ScheduleLoopRequest> R = decodeScheduleLoopRequest(In);
-    if (!R)
-      Error = R.status();
-    else
-      Reply = handleScheduleLoop(R.value(), RequestId, Error);
-    break;
-  }
-  case MessageType::Stats: {
-    Expected<StatsRequest> R = decodeStatsRequest(In);
-    if (!R)
-      Error = R.status();
-    else
-      Reply = handleStats(R.value(), Conn.Id, RequestId, Error);
-    break;
-  }
-  case MessageType::CloseSession: {
-    Expected<CloseSessionRequest> R = decodeCloseSessionRequest(In);
-    if (!R)
-      Error = R.status();
-    else
-      Reply = handleCloseSession(R.value(), Conn.Id, RequestId, Error);
-    break;
-  }
-  case MessageType::Shutdown: {
-    Expected<ShutdownRequest> R = decodeShutdownRequest(In);
-    if (!R) {
-      Error = R.status();
-      break;
+  withMessage(Type, [&](auto M) {
+    using Req = typename decltype(M)::Request;
+    Expected<std::vector<uint8_t>> Reply = answer<Req>(In, Conn.Id, RequestId);
+    if (!Reply)
+      return sendError(Conn, Type, RequestId, Reply.status());
+    sendFrame(Conn, Reply.value());
+    if constexpr (std::is_same_v<Req, ShutdownRequest>) {
+      // Only once the reply is out: the waiter's stop() closes connections.
+      ShutdownRequested.store(true);
+      ShutdownCv.notify_all();
     }
-    Reply = encodeReply(RequestId, ShutdownReply{});
-    sendFrame(Conn, Reply);
-    ShutdownRequested.store(true);
-    ShutdownCv.notify_all();
-    return; // reply already sent
-  }
-  }
-
-  if (!Error.isOk())
-    sendError(Conn, Type, RequestId, std::move(Error));
-  else
-    sendFrame(Conn, Reply);
+  });
 }
 
-std::vector<uint8_t>
-RmdServer::handleLoadMachine(const LoadMachineRequest &R, uint32_t RequestId,
-                             Status &Error) {
-  Expected<const LoadedMachine *> M = Registry.load(R.Name);
-  if (!M) {
-    Error = M.status();
-    return {};
+template <class Req>
+Expected<std::vector<uint8_t>>
+RmdServer::answer(WireReader &In, uint64_t ConnId, uint32_t RequestId) {
+  if constexpr (std::is_same_v<Req, BatchRequest>) {
+    Expected<BatchRecords> R = decodeBatchRecords(In);
+    if (!R)
+      return R.status();
+    return handleBatch(R.value(), ConnId, RequestId);
+  } else {
+    Expected<Req> R = decodeBody<Req>(In);
+    if (!R)
+      return R.status();
+    Expected<typename MessageOf<Req>::Reply> Reply = handle(R.value(), ConnId);
+    if (!Reply)
+      return Reply.status();
+    return encodeReply(RequestId, Reply.value());
   }
+}
+
+Expected<LoadMachineReply> RmdServer::handle(const LoadMachineRequest &R,
+                                             uint64_t) {
+  Expected<const LoadedMachine *> M = Registry.load(R.Name);
+  if (!M)
+    return M.status();
   LoadMachineReply Reply;
   Reply.MachineId = M.value()->id();
   Reply.Degraded = M.value()->degraded();
@@ -451,33 +313,26 @@ RmdServer::handleLoadMachine(const LoadMachineRequest &R, uint32_t RequestId,
       static_cast<uint32_t>(M.value()->model().MD.numResources());
   Reply.ReducedResources =
       static_cast<uint32_t>(M.value()->reduced().numResources());
-  return encodeReply(RequestId, Reply);
+  return Reply;
 }
 
-std::vector<uint8_t>
-RmdServer::handleOpenSession(const OpenSessionRequest &R, uint64_t ConnId,
-                             uint32_t RequestId, Status &Error) {
-  if (FaultInjection::fire(faultpoints::ServerSessionAlloc)) {
-    // Injected allocation failure: a structured error, no session
-    // registered (FaultInjectionTest asserts the count returns to zero).
-    Error = Status(ErrorCode::FaultInjected,
-                   "injected session-allocation failure");
-    return {};
-  }
+Expected<OpenSessionReply> RmdServer::handle(const OpenSessionRequest &R,
+                                             uint64_t ConnId) {
+  // Injected allocation failure: a structured error, no session registered
+  // (FaultInjectionTest asserts the count returns to zero).
+  if (FaultInjection::fire(faultpoints::ServerSessionAlloc))
+    return Status(ErrorCode::FaultInjected,
+                  "injected session-allocation failure");
   const LoadedMachine *M = Registry.byId(R.MachineId);
-  if (!M) {
-    Error = Status(ErrorCode::ProtocolError,
-                   "unknown machine id " + std::to_string(R.MachineId));
-    return {};
-  }
+  if (!M)
+    return Status(ErrorCode::ProtocolError,
+                  "unknown machine id " + std::to_string(R.MachineId));
   QueryConfig Config;
   if (R.Modulo) {
-    if (R.ModuloII <= 0 || R.ModuloII > (1 << 16)) {
-      Error = Status(ErrorCode::ProtocolError,
-                     "modulo session needs an II in [1, 65536], got " +
-                         std::to_string(R.ModuloII));
-      return {};
-    }
+    if (R.ModuloII <= 0 || R.ModuloII > (1 << 16))
+      return Status(ErrorCode::ProtocolError,
+                    "modulo session needs an II in [1, 65536], got " +
+                        std::to_string(R.ModuloII));
     Config = QueryConfig::modulo(R.ModuloII);
   } else {
     Config = QueryConfig::linear(R.MinCycle);
@@ -503,24 +358,17 @@ RmdServer::handleOpenSession(const OpenSessionRequest &R, uint64_t ConnId,
     Sessions.emplace(S->Id, S);
   }
   StatSessionsOpened.add();
-  OpenSessionReply Reply;
-  Reply.SessionId = S->Id;
-  return encodeReply(RequestId, Reply);
+  return OpenSessionReply{S->Id};
 }
 
 std::shared_ptr<RmdServer::Session>
 RmdServer::findSession(uint32_t Id, uint64_t ConnId, Status &Error) {
   std::lock_guard<std::mutex> Lock(SessionsMutex);
   auto It = Sessions.find(Id);
-  if (It == Sessions.end()) {
-    Error = Status(ErrorCode::ProtocolError,
-                   "unknown session id " + std::to_string(Id));
-    return nullptr;
-  }
-  if (It->second->ConnId != ConnId) {
-    // Tenant isolation: a session is visible only to the connection that
-    // opened it; a stray or malicious handle gets the same error as a
-    // nonexistent one (no probing which ids are live elsewhere).
+  // Tenant isolation: a session is visible only to the connection that
+  // opened it; a stray or malicious handle gets the same error as a
+  // nonexistent one (no probing which ids are live elsewhere).
+  if (It == Sessions.end() || It->second->ConnId != ConnId) {
     Error = Status(ErrorCode::ProtocolError,
                    "unknown session id " + std::to_string(Id));
     return nullptr;
@@ -528,13 +376,13 @@ RmdServer::findSession(uint32_t Id, uint64_t ConnId, Status &Error) {
   return It->second;
 }
 
-std::vector<uint8_t> RmdServer::handleBatch(const BatchRecords &R,
-                                            uint64_t ConnId,
-                                            uint32_t RequestId,
-                                            Status &Error) {
+Expected<std::vector<uint8_t>> RmdServer::handleBatch(const BatchRecords &R,
+                                                      uint64_t ConnId,
+                                                      uint32_t RequestId) {
+  Status Error;
   std::shared_ptr<Session> S = findSession(R.sessionId(), ConnId, Error);
   if (!S)
-    return {};
+    return Error;
 
   // Validate the whole batch before touching the module: the query API
   // treats out-of-range ops/cycles and self-conflicting placements as
@@ -543,10 +391,9 @@ std::vector<uint8_t> RmdServer::handleBatch(const BatchRecords &R,
   // used to index anything) for it.
   const size_t NumOps = S->Machine->reduced().numOperations();
   const bool Modulo = S->Config.Mode == QueryConfig::Modulo;
-  auto Reject = [&Error](size_t I, const std::string &What) {
-    Error = Status(ErrorCode::ProtocolError,
-                   "event " + std::to_string(I) + ": " + What);
-    return std::vector<uint8_t>();
+  auto Reject = [](size_t I, const std::string &What) {
+    return Status(ErrorCode::ProtocolError,
+                  "event " + std::to_string(I) + ": " + What);
   };
   for (size_t I = 0; I < R.size(); ++I) {
     const BatchEvent E = R[I];
@@ -627,22 +474,18 @@ std::vector<uint8_t> RmdServer::handleBatch(const BatchRecords &R,
   return Reply;
 }
 
-std::vector<uint8_t>
-RmdServer::handleScheduleLoop(const ScheduleLoopRequest &R,
-                              uint32_t RequestId, Status &Error) {
+Expected<ScheduleLoopReply> RmdServer::handle(const ScheduleLoopRequest &R,
+                                              uint64_t) {
   const LoadedMachine *M = Registry.byId(R.MachineId);
-  if (!M) {
-    Error = Status(ErrorCode::ProtocolError,
-                   "unknown machine id " + std::to_string(R.MachineId));
-    return {};
-  }
+  if (!M)
+    return Status(ErrorCode::ProtocolError,
+                  "unknown machine id " + std::to_string(R.MachineId));
   DiagnosticEngine Diags;
   std::optional<DepGraph> G = parseLoopGraph(R.GraphText, M->model(), Diags);
   if (!G) {
     std::ostringstream SS;
     Diags.print(SS, "<loop-graph>");
-    Error = Status(ErrorCode::ParseError, SS.str());
-    return {};
+    return Status(ErrorCode::ParseError, SS.str());
   }
 
   QueryEnvironment Env;
@@ -668,13 +511,11 @@ RmdServer::handleScheduleLoop(const ScheduleLoopRequest &R,
   Reply.Alternative.assign(Result.Alternative.begin(),
                            Result.Alternative.end());
   Reply.Message = Result.Success ? "" : Result.Error.render();
-  return encodeReply(RequestId, Reply);
+  return Reply;
 }
 
-std::vector<uint8_t> RmdServer::handleStats(const StatsRequest &R,
-                                            uint64_t ConnId,
-                                            uint32_t RequestId,
-                                            Status &Error) {
+Expected<StatsReply> RmdServer::handle(const StatsRequest &R,
+                                       uint64_t ConnId) {
   StatsReply Reply;
   if (R.SessionId == 0) {
     Reply.ServerWide = 1;
@@ -683,29 +524,28 @@ std::vector<uint8_t> RmdServer::handleStats(const StatsRequest &R,
     Reply.Server.RequestsServed = RequestsServed.load();
     Reply.Server.OverloadRejections = Overloads.load();
     Reply.Server.ProtocolErrors = ProtocolErrors.load();
-    return encodeReply(RequestId, Reply);
+    return Reply;
   }
+  Status Error;
   std::shared_ptr<Session> S = findSession(R.SessionId, ConnId, Error);
   if (!S)
-    return {};
-  {
-    std::lock_guard<std::mutex> Lock(S->Mutex);
-    Reply.Session.Counters = S->Module->counters();
-    Reply.Session.LiveInstances = S->LiveInstances;
-  }
-  return encodeReply(RequestId, Reply);
+    return Error;
+  std::lock_guard<std::mutex> Lock(S->Mutex);
+  Reply.Session.Counters = S->Module->counters();
+  Reply.Session.LiveInstances = S->LiveInstances;
+  return Reply;
 }
 
-std::vector<uint8_t>
-RmdServer::handleCloseSession(const CloseSessionRequest &R, uint64_t ConnId,
-                              uint32_t RequestId, Status &Error) {
+Expected<CloseSessionReply> RmdServer::handle(const CloseSessionRequest &R,
+                                              uint64_t ConnId) {
+  Status Error;
   std::shared_ptr<Session> S = findSession(R.SessionId, ConnId, Error);
   if (!S)
-    return {};
+    return Error;
   {
     std::lock_guard<std::mutex> Lock(SessionsMutex);
     Sessions.erase(R.SessionId);
   }
   StatSessionsClosed.add();
-  return encodeReply(RequestId, CloseSessionReply{});
+  return CloseSessionReply{};
 }

@@ -145,7 +145,6 @@ private:
     std::atomic<bool> Done{false};
   };
 
-  Status bindAndListen();
   void acceptLoop();
   void readerLoop(ConnEntry *Entry);
   void dispatcherLoop();
@@ -159,30 +158,44 @@ private:
   void sendFrame(Connection &Conn, const std::vector<uint8_t> &Payload);
 
   /// Best-effort (type, request id) extraction from a raw payload, for
-  /// error replies to frames that cannot be decoded normally.
-  static void peekFrame(const std::vector<uint8_t> &Payload,
-                        wire::MessageType &Type, uint32_t &RequestId);
+  /// error replies to frames that cannot be decoded normally; the type is
+  /// Ping when the payload names none.
+  static wire::FrameHeader peekFrame(const std::vector<uint8_t> &Payload);
 
   void handleRequest(Connection &Conn, const std::vector<uint8_t> &Payload);
   void sendError(Connection &Conn, wire::MessageType Type, uint32_t RequestId,
                  Status Error);
 
-  std::vector<uint8_t> handleLoadMachine(const wire::LoadMachineRequest &R,
-                                         uint32_t RequestId, Status &Error);
-  std::vector<uint8_t> handleOpenSession(const wire::OpenSessionRequest &R,
-                                         uint64_t ConnId, uint32_t RequestId,
-                                         Status &Error);
-  std::vector<uint8_t> handleBatch(const wire::BatchRecords &R,
-                                   uint64_t ConnId, uint32_t RequestId,
-                                   Status &Error);
-  std::vector<uint8_t> handleScheduleLoop(const wire::ScheduleLoopRequest &R,
-                                          uint32_t RequestId, Status &Error);
-  std::vector<uint8_t> handleStats(const wire::StatsRequest &R,
-                                   uint64_t ConnId, uint32_t RequestId,
-                                   Status &Error);
-  std::vector<uint8_t> handleCloseSession(const wire::CloseSessionRequest &R,
-                                          uint64_t ConnId, uint32_t RequestId,
-                                          Status &Error);
+  /// Decodes the body of request \p Req from \p In and runs its handler:
+  /// the ok reply payload, or the error to answer with.
+  template <class Req>
+  Expected<std::vector<uint8_t>> answer(wire::WireReader &In, uint64_t ConnId,
+                                        uint32_t RequestId);
+
+  // One handler per request type (wire::Messages binds each to its reply).
+  // A handler that fails returns the error the client is answered with.
+  Expected<wire::PingReply> handle(const wire::PingRequest &, uint64_t) {
+    return wire::PingReply{};
+  }
+  Expected<wire::LoadMachineReply> handle(const wire::LoadMachineRequest &R,
+                                          uint64_t ConnId);
+  Expected<wire::OpenSessionReply> handle(const wire::OpenSessionRequest &R,
+                                          uint64_t ConnId);
+  Expected<wire::ScheduleLoopReply> handle(const wire::ScheduleLoopRequest &R,
+                                           uint64_t ConnId);
+  Expected<wire::StatsReply> handle(const wire::StatsRequest &R,
+                                    uint64_t ConnId);
+  Expected<wire::CloseSessionReply> handle(const wire::CloseSessionRequest &R,
+                                           uint64_t ConnId);
+  Expected<wire::ShutdownReply> handle(const wire::ShutdownRequest &,
+                                       uint64_t) {
+    return wire::ShutdownReply{};
+  }
+  /// Batch runs in place from the packed records and writes its result
+  /// bytes straight into the reply payload it returns.
+  Expected<std::vector<uint8_t>> handleBatch(const wire::BatchRecords &R,
+                                             uint64_t ConnId,
+                                             uint32_t RequestId);
 
   /// Looks up a session, enforcing connection ownership (a session is
   /// usable only over the connection that opened it).

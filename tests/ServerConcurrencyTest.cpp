@@ -572,7 +572,8 @@ TEST(ServerConcurrency, FramesSentInPiecesAreReassembled) {
   uint32_t Id = 0;
   ASSERT_TRUE(Raw.send(encodeRequest(1, LoadMachineRequest{"cydra5"})));
   Expected<LoadMachineReply> M = decodeRawReply<LoadMachineReply>(
-      Raw.recvFrame(), MessageType::LoadMachine, Id, decodeLoadMachineReply);
+      Raw.recvFrame(), MessageType::LoadMachine, Id,
+      decodeBody<LoadMachineReply>);
   ASSERT_TRUE(bool(M)) << M.status().render();
   EXPECT_EQ(Id, 1u);
   OpenSessionRequest Open;
@@ -582,7 +583,7 @@ TEST(ServerConcurrency, FramesSentInPiecesAreReassembled) {
     ASSERT_TRUE(Raw.send(encodeRequest(2 + I, Open)));
     Expected<OpenSessionReply> S = decodeRawReply<OpenSessionReply>(
         Raw.recvFrame(), MessageType::OpenSession, Id,
-        decodeOpenSessionReply);
+        decodeBody<OpenSessionReply>);
     ASSERT_TRUE(bool(S)) << S.status().render();
     Sessions[I] = S.value().SessionId;
   }
