@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <numeric>
 #include <unordered_map>
 
 using namespace rmd;
@@ -93,20 +94,19 @@ private:
   std::vector<SynthUsage> Usages;
 };
 
-/// The mutable fold state: the resource set, each resource's usage bitset
-/// over the compact usage ids (W words per resource, row-major), and an
-/// inverted index from usage id to the resources containing it. Resources
+/// The mutable fold state: each resource's usage bitset over the compact
+/// usage ids (W words per resource, row-major) and an inverted index from
+/// usage id to the resources containing it. The bitsets are the whole
+/// resource: the usage vectors are built once, by materialize(). Resources
 /// only ever grow (Rule 1 adds usages, nothing removes them), so posting
 /// lists never go stale.
 struct FoldState {
-  const UsageIds &Ids;
   size_t W;
-  std::vector<SynthesizedResource> Set;
+  size_t NumResources = 0;
   std::vector<uint64_t> Bits;
   std::vector<std::vector<uint32_t>> Postings;
 
-  explicit FoldState(const UsageIds &Ids)
-      : Ids(Ids), W(wordsFor(Ids.size())), Postings(Ids.size()) {}
+  explicit FoldState(size_t NumIds) : W(wordsFor(NumIds)), Postings(NumIds) {}
 
   const uint64_t *bits(size_t I) const { return &Bits[I * W]; }
 
@@ -140,29 +140,43 @@ struct FoldState {
   int addResource(const uint64_t *Usages) {
     if (subsumed(Usages))
       return -1;
-    uint32_t Index = static_cast<uint32_t>(Set.size());
-    std::vector<SynthUsage> Members;
+    uint32_t Index = static_cast<uint32_t>(NumResources++);
     for (size_t Word = 0; Word < W; ++Word)
-      for (uint64_t M = Usages[Word]; M != 0; M &= M - 1) {
-        uint32_t Id = static_cast<uint32_t>(Word * 64 + std::countr_zero(M));
-        Members.push_back(Ids.usage(Id));
-        Postings[Id].push_back(Index);
-      }
-    Set.emplace_back(std::move(Members));
+      for (uint64_t M = Usages[Word]; M != 0; M &= M - 1)
+        Postings[Word * 64 + std::countr_zero(M)].push_back(Index);
     Bits.insert(Bits.end(), Usages, Usages + W);
     return static_cast<int>(Index);
   }
 
-  /// Rule 1: merges \p U into resource \p I, keeping its bitset and the
-  /// postings current. Pair usages have nonnegative cycles and every
-  /// resource is anchored at cycle 0, so the merge never re-translates
-  /// existing usages and their ids stay valid.
-  void mergeUsage(uint32_t I, const SynthUsage &U) {
-    if (!Set[I].insert(U))
+  /// Rule 1: merges usage \p Id into resource \p I, keeping the postings
+  /// current.
+  void mergeUsage(uint32_t I, uint32_t Id) {
+    uint64_t &Word = Bits[I * W + Id / 64];
+    uint64_t Mask = uint64_t(1) << (Id % 64);
+    if (Word & Mask)
       return;
-    uint32_t Id = Ids.id(U);
-    setBit(&Bits[I * W], Id);
+    Word |= Mask;
     Postings[Id].push_back(I);
+  }
+
+  /// The resources as usage vectors. Every resource holds a usage at cycle
+  /// 0 (a pair's first usage or a Rule 4 singleton) and pair usages have
+  /// nonnegative cycles, so the constructor's sort is the only
+  /// normalization it applies: no resource is re-translated.
+  std::vector<SynthesizedResource> materialize(const UsageIds &Ids) const {
+    std::vector<SynthesizedResource> Set;
+    Set.reserve(NumResources);
+    std::vector<SynthUsage> Members;
+    for (size_t I = 0; I < NumResources; ++I) {
+      Members.clear();
+      const uint64_t *R = bits(I);
+      for (size_t Word = 0; Word < W; ++Word)
+        for (uint64_t M = R[Word]; M != 0; M &= M - 1)
+          Members.push_back(Ids.usage(
+              static_cast<uint32_t>(Word * 64 + std::countr_zero(M))));
+      Set.emplace_back(Members);
+    }
+    return Set;
   }
 };
 
@@ -206,7 +220,7 @@ rmd::buildGeneratingSet(const ForbiddenLatencyMatrix &FLM,
       Rule4Ops.push_back(Op);
     }
 
-  FoldState State(Ids);
+  FoldState State(Ids.size());
   const size_t W = State.W;
 
   // Row J of Compat: the usages that are compatible with usage J (sharing
@@ -234,7 +248,7 @@ rmd::buildGeneratingSet(const ForbiddenLatencyMatrix &FLM,
     // compatibility rows and each resource's current usages — Rules 1/2
     // below never change another resource's verdict — so this phase reads
     // exactly what the sequential fold would read.
-    size_t End = State.Set.size();
+    size_t End = State.NumResources;
     Verdicts.resize(End);
     auto Scan = [&](size_t Begin, size_t BlockEnd) {
       for (size_t I = Begin; I < BlockEnd; ++I) {
@@ -264,8 +278,8 @@ rmd::buildGeneratingSet(const ForbiddenLatencyMatrix &FLM,
       switch (Verdicts[I]) {
       case PairVerdict::Fully:
         // Rule 1: fully compatible; merge the pair into the resource.
-        State.mergeUsage(static_cast<uint32_t>(I), P.First);
-        State.mergeUsage(static_cast<uint32_t>(I), P.Second);
+        State.mergeUsage(static_cast<uint32_t>(I), FirstId);
+        State.mergeUsage(static_cast<uint32_t>(I), SecondId);
         PairTogether = true;
         ++Rule1s;
         if (Trace && Trace->OnRule)
@@ -328,12 +342,12 @@ rmd::buildGeneratingSet(const ForbiddenLatencyMatrix &FLM,
     }
   }
 
-  return std::move(State.Set);
+  return State.materialize(Ids);
 }
 
 std::vector<SynthesizedResource>
 rmd::pruneGeneratingSet(std::vector<SynthesizedResource> Set,
-                        ThreadPool *Pool) {
+                        ThreadPool * /*Pool*/) {
   // Compact ids: one per distinct usage of the set, then one per distinct
   // canonical latency some resource generates. LatencyOf caches the
   // latency id of each usage-id pair (a co-located pair always generates
@@ -394,42 +408,31 @@ rmd::pruneGeneratingSet(std::vector<SynthesizedResource> Set,
   }
   auto bits = [&](size_t I) { return &Bits[I * W]; };
 
-  // The historical sweep processed resources smallest-set-first and
-  // removed each one covered by a not-yet-removed resource. That is
-  // equivalent to this order-free rule (a cover is strictly larger, or
-  // equal with a later position, and the largest element of any cover
-  // chain always survives): remove I iff some J generates a strict
-  // superset, or generates the identical set and has the larger index.
-  // Per-resource verdicts are independent, hence the parallelFor.
-  std::vector<size_t> BySizeDesc(Set.size());
-  for (size_t I = 0; I < BySizeDesc.size(); ++I)
-    BySizeDesc[I] = I;
-  std::stable_sort(BySizeDesc.begin(), BySizeDesc.end(),
-                   [&](size_t A, size_t B) { return Count[A] > Count[B]; });
+  // Judge resources largest generated set first, ties by descending
+  // index, and drop each one covered by a resource already kept. This
+  // removes exactly what the order-free rule removes (I goes iff some J
+  // generates a strict superset, or the identical set at a larger index):
+  // every such J comes before I, and a J that was itself dropped is
+  // covered by an earlier survivor K, so K covers I too. Conversely a
+  // survivor covering I either is strictly larger or, being equal in
+  // size, is the identical set at a larger index.
+  std::vector<size_t> Order(Set.size());
+  std::iota(Order.begin(), Order.end(), size_t(0));
+  std::sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
+    return Count[A] != Count[B] ? Count[A] > Count[B] : A > B;
+  });
 
   std::vector<uint8_t> Removed(Set.size(), 0);
-  auto Judge = [&](size_t Begin, size_t End) {
-    for (size_t I = Begin; I < End; ++I) {
-      for (size_t J : BySizeDesc) {
-        if (Count[J] < Count[I])
-          break; // only larger-or-equal sets can cover; list is sorted
-        if (J == I || !isSubset(bits(I), bits(J), W))
-          continue;
-        // Equal sizes plus subset means the identical set.
-        if (Count[J] > Count[I] || J > I) {
-          Removed[I] = 1;
-          break;
-        }
-      }
-    }
-  };
-  if (Pool)
-    Pool->parallelFor(0, Set.size(), Judge, /*MinPerBlock=*/8);
-  else
-    Judge(0, Set.size());
+  std::vector<size_t> Kept;
+  for (size_t I : Order) {
+    if (std::any_of(Kept.begin(), Kept.end(), [&](size_t K) {
+          return isSubset(bits(I), bits(K), W);
+        }))
+      Removed[I] = 1;
+    else
+      Kept.push_back(I);
+  }
 
-  // Kept/dropped are tallied at the sequential final filter (verdicts are
-  // thread-count-invariant, so these counts are too).
   static StatCounter KeptStat("prune.kept");
   static StatCounter DroppedStat("prune.dropped");
   std::vector<SynthesizedResource> Pruned;

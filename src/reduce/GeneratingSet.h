@@ -69,10 +69,11 @@ enumerateElementaryPairs(const ForbiddenLatencyMatrix &FLM);
 /// resources (possibly including submaximal extras).
 ///
 /// Each distinct usage of an elementary pair gets a compact id, and each
-/// resource carries a bitset over those ids, so judging a pair against a
+/// resource is a bitset over those ids, so judging a pair against a
 /// resource is a few word operations against the pair's "compatible with
 /// both usages" bitset C: Rule 1 when R & ~C is empty, a Rule 2 discard
 /// when R & C is empty, else a Rule 2 candidate (R & C plus the pair).
+/// The usage vectors are built from the bitsets once, after the fold.
 ///
 /// With \p Pool, the per-pair verdict scan over a large resource set runs
 /// in parallel blocks; Rules 1–4 are then applied sequentially in
@@ -92,11 +93,12 @@ buildGeneratingSet(const ForbiddenLatencyMatrix &FLM,
 ///
 /// Each generated latency set is a bitset over compact ids of the
 /// canonical latencies the set generates, so a cover test is a word-wise
-/// A & ~B. Removal is computed with the order-free characterization of
-/// the sequential sweep — resource I is removed iff some J generates a
-/// strict superset, or generates the same set and has the larger index —
-/// so per-resource verdicts are independent and parallelize over \p Pool
-/// without changing the result.
+/// A & ~B. Resource I is removed iff some J generates a strict superset,
+/// or generates the same set and has the larger index. The prune finds
+/// these by visiting resources largest set first (ties by descending
+/// index) and testing each only against the resources already kept: a
+/// cover that was itself removed is covered by a kept one. The survivors
+/// are few, so the judge is sequential and \p Pool is ignored.
 std::vector<SynthesizedResource>
 pruneGeneratingSet(std::vector<SynthesizedResource> Set,
                    ThreadPool *Pool = nullptr);

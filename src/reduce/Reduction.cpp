@@ -89,7 +89,7 @@ reduceMachineImpl(const MachineDescription &MD,
 
   std::vector<SynthesizedResource> Pruned = [&] {
     TraceSpan Span("prune");
-    return pruneGeneratingSet(std::move(Generating), PoolPtr);
+    return pruneGeneratingSet(std::move(Generating));
   }();
   Result.PrunedSetSize = Pruned.size();
   PrunedSizeStat.add(Result.PrunedSetSize);

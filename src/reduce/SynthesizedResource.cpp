@@ -26,20 +26,6 @@ bool SynthesizedResource::contains(const SynthUsage &U) const {
   return std::binary_search(Usages.begin(), Usages.end(), U);
 }
 
-bool SynthesizedResource::insert(const SynthUsage &U) {
-  auto It = std::lower_bound(Usages.begin(), Usages.end(), U);
-  if (It != Usages.end() && *It == U)
-    return false;
-  bool NewFront = It == Usages.begin();
-  Usages.insert(It, U);
-  // Only a usage that lands before the old front can move the earliest
-  // cycle away from 0 (usages order by cycle first).
-  if (NewFront && U.Cycle != 0)
-    for (SynthUsage &V : Usages)
-      V.Cycle -= U.Cycle;
-  return true;
-}
-
 std::vector<ForbiddenLatency> SynthesizedResource::generatedLatencies() const {
   std::vector<ForbiddenLatency> Result;
   Result.reserve(Usages.size() * (Usages.size() + 1) / 2);

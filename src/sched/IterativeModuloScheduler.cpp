@@ -362,8 +362,8 @@ rmd::moduloSchedule(const DepGraph &G, const MachineDescription &MD,
       Decisions.add(TotalDecisions);
       EvictedRes.add(R.Stats.EvictedByResource);
       EvictedDep.add(R.Stats.EvictedByDependence);
-      for (uint32_t C : R.Stats.ChecksPerDecision)
-        Checks.record(C);
+      Checks.recordAll(R.Stats.ChecksPerDecision.data(),
+                       R.Stats.ChecksPerDecision.size());
       if (R.Success) {
         Scheduled.add();
         IITotal.add(static_cast<uint64_t>(R.Stats.II));

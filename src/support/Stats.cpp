@@ -187,6 +187,31 @@ void StatsRegistry::recordHistogram(size_t Slot, uint64_t Value) {
   slotAdd(S.Slots[Slot + 4 + Bucket], 1);
 }
 
+void StatsRegistry::recordHistogramValues(size_t Slot, const uint32_t *Values,
+                                          size_t N) {
+  if (N == 0)
+    return;
+  uint64_t Sum = 0, Min = UINT64_MAX, Max = 0;
+  std::array<uint64_t, 33> Buckets{}; // bit_width of a uint32_t is <= 32
+  for (size_t K = 0; K < N; ++K) {
+    uint64_t Value = Values[K];
+    Sum += Value;
+    Min = std::min(Min, Value);
+    Max = std::max(Max, Value);
+    ++Buckets[std::bit_width(Values[K])];
+  }
+  Impl &I = impl();
+  Shard &S = I.localShard();
+  I.ensureSlot(S, Slot + 4 + 64);
+  slotAdd(S.Slots[Slot], N);
+  slotAdd(S.Slots[Slot + 1], Sum);
+  slotMax(S.Slots[Slot + 2], ~Min);
+  slotMax(S.Slots[Slot + 3], Max);
+  for (size_t B = 0; B < Buckets.size(); ++B)
+    if (Buckets[B] != 0)
+      slotAdd(S.Slots[Slot + 4 + B], Buckets[B]);
+}
+
 StatsSnapshot StatsRegistry::snapshot() const {
   Impl &I = impl();
   std::lock_guard<std::mutex> Lock(I.Mutex);

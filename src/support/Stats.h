@@ -108,6 +108,9 @@ public:
   void add(size_t Slot, uint64_t Delta);
   void recordTimer(size_t Slot, uint64_t Nanos);
   void recordHistogram(size_t Slot, uint64_t Value);
+  /// recordHistogram() of each of the \p N values at \p Values, tallied
+  /// locally and added to the shard once.
+  void recordHistogramValues(size_t Slot, const uint32_t *Values, size_t N);
 
   /// Deterministic merged view of all registered stats (live shards,
   /// retired threads' totals, sorted names).
@@ -161,6 +164,11 @@ public:
                                                     StatKind::Histogram)) {}
   void record(uint64_t Value) const {
     StatsRegistry::instance().recordHistogram(Slot, Value);
+  }
+  /// Records each of the \p N values at \p Values: the same snapshot as N
+  /// record() calls, for one registry update.
+  void recordAll(const uint32_t *Values, size_t N) const {
+    StatsRegistry::instance().recordHistogramValues(Slot, Values, N);
   }
 
 private:

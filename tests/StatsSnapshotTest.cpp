@@ -131,3 +131,32 @@ TEST(StatsSnapshot, HistogramBucketsAndBounds) {
   EXPECT_EQ(It->second.Buckets[3], 1u);  // 5 (bit_width 3)
   EXPECT_EQ(It->second.Buckets[10], 1u); // 1000 (bit_width 10)
 }
+
+TEST(StatsSnapshot, BulkHistogramRecordingMatchesPerValue) {
+  const std::vector<std::vector<uint32_t>> Runs = {
+      {}, {7}, {0}, {3, 0, 1, 1, 4096, 5}, {UINT32_MAX, 2}, {}, {9}};
+  StatsRegistry::instance().reset();
+  StatHistogram PerValue("test.histogram_per_value");
+  StatHistogram Bulk("test.histogram_bulk");
+  auto expectSame = [](const StatsSnapshot &Snap, const std::string &Where) {
+    const StatsSnapshot::HistogramValue &A =
+        Snap.Histograms.at("test.histogram_per_value");
+    const StatsSnapshot::HistogramValue &B =
+        Snap.Histograms.at("test.histogram_bulk");
+    EXPECT_EQ(A.Count, B.Count) << Where;
+    EXPECT_EQ(A.Sum, B.Sum) << Where;
+    EXPECT_EQ(A.Min, B.Min) << Where;
+    EXPECT_EQ(A.Max, B.Max) << Where;
+    EXPECT_EQ(A.Buckets, B.Buckets) << Where;
+  };
+  for (size_t R = 0; R < Runs.size(); ++R) {
+    for (uint32_t V : Runs[R])
+      PerValue.record(V);
+    Bulk.recordAll(Runs[R].data(), Runs[R].size());
+    expectSame(StatsRegistry::instance().snapshot(),
+               "after run " + std::to_string(R));
+  }
+  StatsSnapshot Snap = StatsRegistry::instance().snapshot();
+  EXPECT_EQ(Snap.Histograms.at("test.histogram_bulk").Count, 11u);
+  EXPECT_EQ(Snap.Histograms.at("test.histogram_bulk").Max, UINT32_MAX);
+}
