@@ -288,14 +288,13 @@ BitvectorQueryModule::unionPatternsFor(const std::vector<OpId> &Alternatives) {
 int BitvectorQueryModule::checkWithAlternatives(
     const std::vector<OpId> &Alternatives, int Cycle) {
   if (!Config.UnionAlternativeCheck || Alternatives.size() < 2)
-    return ContentionQueryModule::checkWithAlternatives(Alternatives, Cycle);
+    return firstFreeAlternative(Alternatives, Cycle);
   if (Config.Mode == QueryConfig::Modulo) {
     // Self-conflicting alternatives would poison the union; keep the
     // simple path when any alternative is infeasible at this II.
     for (OpId Op : Alternatives)
       if (SelfConflict[Op])
-        return ContentionQueryModule::checkWithAlternatives(Alternatives,
-                                                            Cycle);
+        return firstFreeAlternative(Alternatives, Cycle);
   }
 
   // Union fast path: one branchless masked-AND scan over the OR of all
@@ -316,7 +315,23 @@ int BitvectorQueryModule::checkWithAlternatives(
   }
 
   // Some alternative conflicts; fall back to individual checks.
-  return ContentionQueryModule::checkWithAlternatives(Alternatives, Cycle);
+  return firstFreeAlternative(Alternatives, Cycle);
+}
+
+int BitvectorQueryModule::firstFreeSlot(const std::vector<OpId> &Alternatives,
+                                        int From, int Count, int &Alt) {
+  int End = From + Count;
+  if (Config.UnionAlternativeCheck && Alternatives.size() >= 2) {
+    for (int T = From; T < End; ++T)
+      if ((Alt = checkWithAlternatives(Alternatives, T)) >= 0)
+        return T;
+  } else {
+    for (int T = From; T < End; ++T)
+      if ((Alt = firstFreeAlternative(Alternatives, T)) >= 0)
+        return T;
+  }
+  Alt = -1;
+  return End;
 }
 
 void BitvectorQueryModule::reset() {

@@ -95,6 +95,12 @@ public:
   int checkWithAlternatives(const std::vector<OpId> &Alternatives,
                             int Cycle) override;
 
+  /// The base class's window scan with this module's own bodies: the
+  /// inlined check() loop, or this checkWithAlternatives() per cycle when
+  /// the union path applies.
+  int firstFreeSlot(const std::vector<OpId> &Alternatives, int From,
+                    int Count, int &Alt) override;
+
   /// Cycle-bitvectors packed per word (the paper's k).
   unsigned cyclesPerWordUsed() const { return K; }
 
@@ -322,6 +328,14 @@ private:
   /// The group's per-phase union spans (NumPhases entries), built and
   /// cached in the module-local union pools on first use.
   const PatternRef *unionPatternsFor(const std::vector<OpId> &Alternatives);
+
+  /// The paper's check-with-alt: check() on each alternative in turn.
+  int firstFreeAlternative(const std::vector<OpId> &Alternatives, int Cycle) {
+    for (size_t I = 0; I < Alternatives.size(); ++I)
+      if (check(Alternatives[I], Cycle))
+        return static_cast<int>(I);
+    return -1;
+  }
 };
 
 __attribute__((always_inline)) inline bool

@@ -152,6 +152,19 @@ void DiscreteQueryModule::assignAndFree(OpId Op, int Cycle,
   assert(Inserted && "instance id already scheduled");
 }
 
+int DiscreteQueryModule::firstFreeSlot(const std::vector<OpId> &Alternatives,
+                                       int From, int Count, int &Alt) {
+  int End = From + Count;
+  for (int T = From; T < End; ++T)
+    for (size_t I = 0; I < Alternatives.size(); ++I)
+      if (check(Alternatives[I], T)) {
+        Alt = static_cast<int>(I);
+        return T;
+      }
+  Alt = -1;
+  return End;
+}
+
 void DiscreteQueryModule::reset() {
   std::fill(Reserved.begin(), Reserved.end(), 0);
   std::fill(Owner.begin(), Owner.end(), -1);

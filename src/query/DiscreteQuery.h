@@ -25,8 +25,9 @@ namespace rmd {
 /// slot. Such an operation cannot be modulo-scheduled at that II.
 bool hasModuloSelfConflict(const ReservationTable &RT, int II);
 
-/// Discrete-representation contention query module.
-class DiscreteQueryModule : public ContentionQueryModule {
+/// Discrete-representation contention query module. Final so the window
+/// scan below calls check() directly.
+class DiscreteQueryModule final : public ContentionQueryModule {
 public:
   /// \p MD must be expanded. The module keeps a reference to \p MD; it must
   /// outlive the module.
@@ -38,6 +39,10 @@ public:
   void assignAndFree(OpId Op, int Cycle, InstanceId Instance,
                      std::vector<InstanceId> &Evicted) override;
   void reset() override;
+
+  /// The base class's window scan over this module's check().
+  int firstFreeSlot(const std::vector<OpId> &Alternatives, int From,
+                    int Count, int &Alt) override;
 
   /// Bytes of reserved-table storage currently allocated (memory metric).
   size_t reservedTableBytes() const;

@@ -46,3 +46,13 @@ int ContentionQueryModule::checkWithAlternatives(
       return static_cast<int>(I);
   return -1;
 }
+
+int ContentionQueryModule::firstFreeSlot(const std::vector<OpId> &Alternatives,
+                                         int From, int Count, int &Alt) {
+  int End = From + Count;
+  for (int T = From; T < End; ++T)
+    if ((Alt = checkWithAlternatives(Alternatives, T)) >= 0)
+      return T;
+  Alt = -1;
+  return End;
+}

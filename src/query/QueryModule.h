@@ -173,6 +173,18 @@ public:
   virtual int checkWithAlternatives(const std::vector<OpId> &Alternatives,
                                     int Cycle);
 
+  /// A scheduler's window scan: the first cycle T of [\p From, \p From +
+  /// \p Count) at which checkWithAlternatives(\p Alternatives, T) finds a
+  /// contention-free alternative, whose index lands in \p Alt. Returns
+  /// From + Count with Alt == -1 when no cycle of the window is free.
+  /// The cycles are tried in order, each exactly as one
+  /// checkWithAlternatives call, so the answers and counters are those of
+  /// the slot-by-slot loop. This version is that loop (wrappers inherit it
+  /// and so see every per-slot call); a module may override it with a loop
+  /// over its own bodies that makes the same calls in the same order.
+  virtual int firstFreeSlot(const std::vector<OpId> &Alternatives, int From,
+                            int Count, int &Alt);
+
   WorkCounters &counters() { return Counters; }
   const WorkCounters &counters() const { return Counters; }
 

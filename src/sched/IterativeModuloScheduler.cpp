@@ -55,12 +55,17 @@ struct AttemptState {
 
 /// Height-based priority at a given II: HeightR(v) = max over edges v->s of
 /// HeightR(s) + Delay - II*Distance, computed by relaxation (converges for
-/// II >= RecMII, where no positive cycle exists).
+/// II >= RecMII, where no positive cycle exists). Heights flow from
+/// successors to predecessors, and edges mostly follow node order, so the
+/// relaxation walks the edges last to first: the fixpoint is the same, and
+/// it takes fewer passes to reach.
 std::vector<long long> computeHeights(const DepGraph &G, int II) {
   std::vector<long long> Height(G.numNodes(), 0);
+  const std::vector<DepEdge> &Edges = G.edges();
   for (size_t Pass = 0; Pass <= G.numNodes() + 1; ++Pass) {
     bool Changed = false;
-    for (const DepEdge &E : G.edges()) {
+    for (auto It = Edges.rbegin(); It != Edges.rend(); ++It) {
+      const DepEdge &E = *It;
       long long Candidate =
           Height[E.To] + E.Delay - static_cast<long long>(II) * E.Distance;
       if (Candidate > Height[E.From]) {
@@ -122,6 +127,15 @@ enum class AttemptEnd {
 
 } // namespace
 
+ContentionQueryModule &ModulePool::acquire(const ModuleFactory &Make, int II) {
+  std::unique_ptr<ContentionQueryModule> &Module = ByII[II];
+  if (Module)
+    Module->reset();
+  else
+    Module = Make(QueryConfig::modulo(II));
+  return *Module;
+}
+
 /// One II attempt. On Interrupted, S holds the partial placement with
 /// S.Alternative[v] == -1 for every node not scheduled at the interrupt.
 static AttemptEnd
@@ -157,27 +171,29 @@ attemptSchedule(const DepGraph &G, const QueryEnvironment &Env, int II,
       return AttemptEnd::BudgetExhausted;
   }
 
-  std::unique_ptr<ContentionQueryModule> Module =
-      Env.MakeModule(QueryConfig::modulo(II));
+  // The environment's module for this II, fresh or reset (the reset is
+  // not a traced call: a segment replays against a fresh module).
+  ContentionQueryModule &Module = Env.Pool.acquire(Env.MakeModule, II);
 
   // Opt-in recording: one trace segment per II attempt, routed through a
   // pass-through tracer. Counters stay on the inner module, so accounting
   // (ChecksPerDecision, the accumulated totals) is unchanged by tracing.
   std::optional<TracingQueryModule> Tracer;
   if (TraceLog)
-    Tracer.emplace(*Module, TraceLog->beginSegment(Flat.name(),
-                                                   QueryConfig::modulo(II)));
+    Tracer.emplace(Module, TraceLog->beginSegment(Flat.name(),
+                                                  QueryConfig::modulo(II)));
   ContentionQueryModule &Q =
-      TraceLog ? static_cast<ContentionQueryModule &>(*Tracer) : *Module;
+      TraceLog ? static_cast<ContentionQueryModule &>(*Tracer) : Module;
 
-  // Rank the nodes once per attempt. stable_sort keeps equal priorities in
-  // ascending id order, the tie rule of a strict-> scan over the ids.
+  // Rank the nodes once per attempt: descending priority, equal priorities
+  // in ascending id order (the tie rule of a strict-> scan over the ids).
   std::vector<long long> Height = computePriorities(G, II, Kind);
   S.ByRank.resize(N);
   for (NodeId V = 0; V < N; ++V)
     S.ByRank[V] = V;
-  std::stable_sort(S.ByRank.begin(), S.ByRank.end(),
-                   [&](NodeId A, NodeId B) { return Height[A] > Height[B]; });
+  std::sort(S.ByRank.begin(), S.ByRank.end(), [&](NodeId A, NodeId B) {
+    return Height[A] != Height[B] ? Height[A] > Height[B] : A < B;
+  });
   S.Rank.resize(N);
   for (size_t R = 0; R < N; ++R)
     S.Rank[S.ByRank[R]] = static_cast<uint32_t>(R);
@@ -206,14 +222,14 @@ attemptSchedule(const DepGraph &G, const QueryEnvironment &Env, int II,
       for (NodeId U = 0; U < N; ++U)
         if (!S.Scheduled[U])
           S.Alternative[U] = -1;
-      Accum.accumulate(Module->counters());
+      Accum.accumulate(Module.counters());
       Interrupt = WantCancel ? ScheduleOutcome::Cancelled
                              : ScheduleOutcome::TimedOut;
       return AttemptEnd::Interrupted;
     }
 
     if (DecisionsThisAttempt >= Budget) {
-      Accum.accumulate(Module->counters());
+      Accum.accumulate(Module.counters());
       return AttemptEnd::BudgetExhausted;
     }
 
@@ -232,20 +248,13 @@ attemptSchedule(const DepGraph &G, const QueryEnvironment &Env, int II,
     }
 
     const std::vector<OpId> &Alts = Groups[G.opOf(V)];
-    uint64_t ChecksBefore = Module->counters().CheckCalls;
+    uint64_t ChecksBefore = Module.counters().CheckCalls;
 
     // Scan one II window for a contention-free slot.
-    int Slot = -1;
-    int Alt = -1;
-    for (int T = Estart; T < Estart + II && Slot < 0; ++T) {
-      int Found = Q.checkWithAlternatives(Alts, T);
-      if (Found >= 0) {
-        Slot = T;
-        Alt = Found;
-      }
-    }
+    int Alt;
+    int Slot = Q.firstFreeSlot(Alts, Estart, II, Alt);
 
-    if (Slot >= 0) {
+    if (Alt >= 0) {
       // The IMS schedules through assign&free even for conflict-free slots
       // (Section 8: the benchmark issues no plain assign calls); eviction
       // cannot happen here since check() just succeeded.
@@ -271,7 +280,7 @@ attemptSchedule(const DepGraph &G, const QueryEnvironment &Env, int II,
         ++Tried;
       } while (!feasible(Alts[Alt]) && Tried < Alts.size());
       if (!feasible(Alts[Alt])) {
-        Accum.accumulate(Module->counters());
+        Accum.accumulate(Module.counters());
         return AttemptEnd::BudgetExhausted;
       }
 
@@ -299,7 +308,7 @@ attemptSchedule(const DepGraph &G, const QueryEnvironment &Env, int II,
     ++NumScheduled;
     ++DecisionsThisAttempt;
     Stats.ChecksPerDecision.push_back(static_cast<uint32_t>(
-        Module->counters().CheckCalls - ChecksBefore));
+        Module.counters().CheckCalls - ChecksBefore));
 
     // Unschedule operations whose dependences the new placement violates.
     auto unschedule = [&](NodeId W) {
@@ -324,7 +333,7 @@ attemptSchedule(const DepGraph &G, const QueryEnvironment &Env, int II,
     }
   }
 
-  Accum.accumulate(Module->counters());
+  Accum.accumulate(Module.counters());
   return AttemptEnd::Complete;
 }
 

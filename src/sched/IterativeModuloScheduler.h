@@ -31,21 +31,56 @@
 
 #include <functional>
 #include <memory>
+#include <unordered_map>
 
 namespace rmd {
 
 struct QueryTraceLog;
+
+using ModuleFactory =
+    std::function<std::unique_ptr<ContentionQueryModule>(QueryConfig)>;
+
+/// The modulo-mode modules one environment has built, one per II. The
+/// first attempt at an II builds its module; every later attempt at that
+/// II, in any run through the same environment, resets and reuses it. A
+/// reset module answers and counts exactly as a fresh one, and its work
+/// reaches the `query.*` stats when the pool (so the environment) goes.
+/// Copying a pool yields an empty one: modules never pass between
+/// environments, whose factories may differ.
+class ModulePool {
+public:
+  ModulePool() = default;
+  ModulePool(const ModulePool &) {}
+  ModulePool &operator=(const ModulePool &) {
+    ByII.clear();
+    return *this;
+  }
+  ModulePool(ModulePool &&) = default;
+  ModulePool &operator=(ModulePool &&) = default;
+
+  /// The module for \p II: reset, or built by \p Make on first use.
+  ContentionQueryModule &acquire(const ModuleFactory &Make, int II);
+
+private:
+  std::unordered_map<int, std::unique_ptr<ContentionQueryModule>> ByII;
+};
 
 /// Everything the scheduler needs to talk to a contention query module:
 /// the expanded (single-alternative) description the module is built over,
 /// the alternative grouping, and the module factory. The flat description
 /// may be the original machine or any equivalent reduction; schedules are
 /// identical either way (and tests assert so).
+///
+/// moduloSchedule() keeps the modules it builds in the environment's pool,
+/// so an environment must not be shared by concurrent runs (give each
+/// thread its own; a copy starts with an empty pool), and its fields must
+/// not change once a run has used it.
 struct QueryEnvironment {
   const MachineDescription *FlatMD = nullptr;
   const std::vector<std::vector<OpId>> *Groups = nullptr;
-  std::function<std::unique_ptr<ContentionQueryModule>(QueryConfig)>
-      MakeModule;
+  ModuleFactory MakeModule;
+  /// Declared last, so the modules go before the factory they came from.
+  mutable ModulePool Pool;
 };
 
 /// Priority function selecting the next operation to place. Rau found

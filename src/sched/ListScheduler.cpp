@@ -71,15 +71,10 @@ rmd::listSchedule(const DepGraph &G,
     }
 
     const std::vector<OpId> &Alternatives = Groups[G.opOf(Best)];
-    int Cycle = Estart;
-    int Alt = -1;
-    // An empty machine would loop forever; bound the scan generously.
-    int Horizon = Estart + 4096;
-    for (; Cycle <= Horizon; ++Cycle) {
-      Alt = Q.checkWithAlternatives(Alternatives, Cycle);
-      if (Alt >= 0)
-        break;
-    }
+    // An empty machine would loop forever; bound the scan generously
+    // (cycles Estart through Estart + 4096).
+    int Alt;
+    int Cycle = Q.firstFreeSlot(Alternatives, Estart, 4097, Alt);
     if (Alt < 0)
       return Result; // Success stays false
 

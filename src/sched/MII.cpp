@@ -5,8 +5,9 @@
 #include "support/FatalError.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
-#include <numeric>
+#include <string>
 #include <vector>
 
 using namespace rmd;
@@ -28,83 +29,122 @@ int rmd::computeResMII(const MachineDescription &MD, const DepGraph &G) {
   return std::max(1, static_cast<int>(std::ceil(MaxLoad - 1e-9)));
 }
 
-/// True if some dependence cycle of \p G has positive total weight under
-/// (Delay - II * Distance): i.e. II is infeasible for the recurrences.
-static bool hasPositiveCycle(const DepGraph &G, int II) {
-  // Bellman-Ford longest-path relaxation from all nodes simultaneously
-  // (distance 0 start); a relaxation succeeding on pass N implies a
-  // positive cycle.
+namespace {
+
+/// A dependence cycle as its edge indices, in path order.
+using CycleEdges = std::vector<uint32_t>;
+
+/// Scratch for the Bellman-Ford runs on one graph.
+struct Relaxation {
+  std::vector<long long> Dist;
+  /// The edge that last raised Dist[v], or -1.
+  std::vector<int32_t> Parent;
+  /// Per node, the first parentCycleNode() walk that passed it.
+  std::vector<NodeId> WalkOf;
+};
+
+/// The cycle of parent edges through \p X.
+CycleEdges parentCycle(const std::vector<DepEdge> &Edges,
+                       const std::vector<int32_t> &Parent, NodeId X) {
+  CycleEdges Cycle;
+  NodeId V = X;
+  do {
+    uint32_t EIdx = static_cast<uint32_t>(Parent[V]);
+    Cycle.push_back(EIdx);
+    V = Edges[EIdx].From;
+  } while (V != X);
+  std::reverse(Cycle.begin(), Cycle.end());
+  return Cycle;
+}
+
+/// A node on a cycle of parent edges, or N when they form a forest. Each
+/// walk up the parent edges stops at a root, at a node an earlier walk
+/// passed, or back on its own path: a cycle.
+NodeId parentCycleNode(const std::vector<DepEdge> &Edges, Relaxation &R) {
+  NodeId N = static_cast<NodeId>(R.Parent.size());
+  R.WalkOf.assign(N, N);
+  for (NodeId S = 0; S < N; ++S) {
+    NodeId V = S;
+    while (R.WalkOf[V] == N && R.Parent[V] >= 0) {
+      R.WalkOf[V] = S;
+      V = Edges[static_cast<uint32_t>(R.Parent[V])].From;
+    }
+    if (R.WalkOf[V] == S)
+      return V;
+  }
+  return N;
+}
+
+/// Bellman-Ford longest-path relaxation under (Delay - II * Distance) from
+/// all nodes at once (distance 0 start), with parent edges. Returns an
+/// empty list when no cycle has positive weight, i.e. II is feasible for
+/// the recurrences; otherwise one positive cycle. A cycle of parent edges
+/// is always positive: with \p FirstParentCycle the run stops at the first
+/// pass that closes one. Otherwise it runs all N+1 passes and returns the
+/// cycle behind the last relaxation, the one the InfeasibleRecurrence
+/// message names.
+CycleEdges findPositiveCycle(const DepGraph &G, int II, Relaxation &R,
+                             bool FirstParentCycle) {
   size_t N = G.numNodes();
-  std::vector<long long> Dist(N, 0);
+  const std::vector<DepEdge> &Edges = G.edges();
+  R.Dist.assign(N, 0);
+  R.Parent.assign(N, -1);
+  NodeId Touched = N;
   for (size_t Pass = 0; Pass <= N; ++Pass) {
     bool Changed = false;
-    for (const DepEdge &E : G.edges()) {
+    for (uint32_t EIdx = 0; EIdx < Edges.size(); ++EIdx) {
+      const DepEdge &E = Edges[EIdx];
       long long W = E.Delay - static_cast<long long>(II) * E.Distance;
-      if (Dist[E.From] + W > Dist[E.To]) {
-        Dist[E.To] = Dist[E.From] + W;
+      if (R.Dist[E.From] + W > R.Dist[E.To]) {
+        R.Dist[E.To] = R.Dist[E.From] + W;
+        R.Parent[E.To] = static_cast<int32_t>(EIdx);
+        Touched = E.To;
         Changed = true;
       }
     }
     if (!Changed)
-      return false;
+      return {};
+    if (FirstParentCycle) {
+      NodeId X = parentCycleNode(Edges, R);
+      if (X != N)
+        return parentCycle(Edges, R.Parent, X);
+    }
   }
-  return true;
+
+  // A node that still relaxes on pass N+1 has a parent chain that must
+  // contain a positive cycle: walk N parent steps to land inside it.
+  NodeId X = Touched;
+  for (size_t I = 0; I < N; ++I)
+    X = Edges[static_cast<uint32_t>(R.Parent[X])].From;
+  return parentCycle(Edges, R.Parent, X);
 }
 
 /// Renders node \p N for a diagnostic: its name when the graph has one,
 /// "#<id>" otherwise.
-static std::string nodeLabel(const DepGraph &G, NodeId N) {
+std::string nodeLabel(const DepGraph &G, NodeId N) {
   const std::string &Name = G.nodeName(N);
   return Name.empty() ? "#" + std::to_string(N) : Name;
 }
 
-/// Extracts one positive cycle of \p G under weight (Delay - II*Distance),
-/// assuming hasPositiveCycle(G, II). Renders it as
+/// The InfeasibleRecurrence status naming \p Cycle, rendered as
 /// "a -> b -> a (total delay D, distance 0)".
-static std::string describePositiveCycle(const DepGraph &G, int II) {
-  size_t N = G.numNodes();
-  std::vector<long long> Dist(N, 0);
-  std::vector<int32_t> Parent(N, -1);
-  // N full passes leave every node that keeps relaxing with a Parent chain
-  // that must contain a positive cycle.
-  NodeId Touched = N;
-  for (size_t Pass = 0; Pass <= N; ++Pass)
-    for (uint32_t EIdx = 0; EIdx < G.numEdges(); ++EIdx) {
-      const DepEdge &E = G.edges()[EIdx];
-      long long W = E.Delay - static_cast<long long>(II) * E.Distance;
-      if (Dist[E.From] + W > Dist[E.To]) {
-        Dist[E.To] = Dist[E.From] + W;
-        Parent[E.To] = static_cast<int32_t>(EIdx);
-        Touched = E.To;
-      }
-    }
-  if (Touched == N)
-    return "(cycle extraction failed)"; // unreachable given the caller
-
-  // Walk N parent steps to land inside the cycle, then collect it.
-  NodeId X = Touched;
-  for (size_t I = 0; I < N; ++I)
-    X = G.edges()[static_cast<uint32_t>(Parent[X])].From;
-  std::vector<uint32_t> CycleEdges;
-  NodeId V = X;
-  do {
-    uint32_t EIdx = static_cast<uint32_t>(Parent[V]);
-    CycleEdges.push_back(EIdx);
-    V = G.edges()[EIdx].From;
-  } while (V != X);
-  std::reverse(CycleEdges.begin(), CycleEdges.end());
-
+Status infeasibleRecurrence(const DepGraph &G, const CycleEdges &Cycle) {
   long long DelaySum = 0, DistanceSum = 0;
-  std::string Path = nodeLabel(G, X);
-  for (uint32_t EIdx : CycleEdges) {
+  std::string Path = nodeLabel(G, G.edges()[Cycle.front()].From);
+  for (uint32_t EIdx : Cycle) {
     const DepEdge &E = G.edges()[EIdx];
     DelaySum += E.Delay;
     DistanceSum += E.Distance;
     Path += " -> " + nodeLabel(G, E.To);
   }
-  return Path + " (total delay " + std::to_string(DelaySum) + ", distance " +
-         std::to_string(DistanceSum) + ")";
+  return Status(ErrorCode::InfeasibleRecurrence,
+                "zero-distance positive-delay cycle: " + Path +
+                    " (total delay " + std::to_string(DelaySum) +
+                    ", distance " + std::to_string(DistanceSum) +
+                    "); no initiation interval is feasible");
 }
+
+} // namespace
 
 Expected<int> rmd::computeRecMIIChecked(const DepGraph &G) {
   bool HasCarried = false;
@@ -113,37 +153,37 @@ Expected<int> rmd::computeRecMIIChecked(const DepGraph &G) {
     HasCarried |= E.Distance > 0;
     MaxDelaySum += std::max(0, E.Delay);
   }
-  if (!HasCarried) {
-    // No carried dependence: RecMII is 1 — unless the "loop body" has a
-    // zero-distance cycle, which no II fixes (a positive zero-distance
-    // cycle has positive weight at every II; probe at II = 1).
-    if (hasPositiveCycle(G, 1))
-      return Status(ErrorCode::InfeasibleRecurrence,
-                    "zero-distance positive-delay cycle: " +
-                        describePositiveCycle(G, 1) +
-                        "; no initiation interval is feasible");
+  // A graph with a positive-delay cycle at distance 0 has no feasible II
+  // at all (it is not a valid loop body). Without carried dependences
+  // every cycle is zero-distance, so II = 1 exposes one; otherwise at
+  // II = MaxDelaySum every distance-carrying cycle is already far
+  // negative, so a surviving positive cycle is zero-distance.
+  Relaxation R;
+  CycleEdges ZeroDistance = findPositiveCycle(
+      G, HasCarried ? MaxDelaySum : 1, R, /*FirstParentCycle=*/false);
+  if (!ZeroDistance.empty())
+    return infeasibleRecurrence(G, ZeroDistance);
+  if (!HasCarried)
     return 1;
-  }
 
-  // Feasibility is monotone in II; binary search the smallest feasible II.
-  // A graph with a positive-delay cycle at distance 0 has no feasible II at
-  // all (it is not a valid loop body): at II = MaxDelaySum every
-  // distance-carrying cycle is already far negative, so a surviving
-  // positive cycle is zero-distance.
-  int Lo = 1, Hi = MaxDelaySum;
-  if (hasPositiveCycle(G, Hi))
-    return Status(ErrorCode::InfeasibleRecurrence,
-                  "zero-distance positive-delay cycle: " +
-                      describePositiveCycle(G, Hi) +
-                      "; no initiation interval is feasible");
-  while (Lo < Hi) {
-    int Mid = Lo + (Hi - Lo) / 2;
-    if (hasPositiveCycle(G, Mid))
-      Lo = Mid + 1;
-    else
-      Hi = Mid;
+  // RecMII is the maximum over cycles of ceil(delay / distance). While some
+  // cycle C is positive at II, ceil(delay(C) / distance(C)) is a lower
+  // bound on RecMII above II: jump there and look again. Each step raises
+  // II without passing RecMII, so the loop stops exactly at it.
+  int II = 1;
+  for (CycleEdges Cycle = findPositiveCycle(G, II, R, true); !Cycle.empty();
+       Cycle = findPositiveCycle(G, II, R, true)) {
+    long long Delay = 0, Distance = 0;
+    for (uint32_t EIdx : Cycle) {
+      Delay += G.edges()[EIdx].Delay;
+      Distance += G.edges()[EIdx].Distance;
+    }
+    assert(Distance > 0 && Delay > II * Distance &&
+           "parent cycle is not a positive carried cycle");
+    II = static_cast<int>(
+        std::max<long long>(II + 1, (Delay + Distance - 1) / Distance));
   }
-  return Lo;
+  return II;
 }
 
 int rmd::computeRecMII(const DepGraph &G) {

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <climits>
 #include <optional>
 #include <unordered_map>
 
@@ -133,17 +134,10 @@ OperationDrivenResult rmd::operationDrivenSchedule(
     }
 
     const std::vector<OpId> &Alts = Groups[G.opOf(V)];
-    int Slot = -1;
-    int Alt = -1;
-    for (int T = Estart; T <= Lstart && Slot < 0; ++T) {
-      int Found = Q.checkWithAlternatives(Alts, T);
-      if (Found >= 0) {
-        Slot = T;
-        Alt = Found;
-      }
-    }
+    int Alt;
+    int Slot = Q.firstFreeSlot(Alts, Estart, Lstart - Estart + 1, Alt);
 
-    if (Slot >= 0) {
+    if (Alt >= 0) {
       Q.assign(Alts[Alt], Slot, static_cast<InstanceId>(V));
     } else if (Evictions[V] < Options.MaxEvictions) {
       // Forced placement at Estart: evict whoever holds the resources.
@@ -183,12 +177,9 @@ OperationDrivenResult rmd::operationDrivenSchedule(
     } else {
       // Eviction budget spent: take the first conflict-free cycle at or
       // past the window (always exists in a linear schedule).
-      Alt = -1;
-      for (int T = std::max(Estart, Lstart + 1); Alt < 0; ++T) {
-        Alt = Q.checkWithAlternatives(Alts, T);
-        if (Alt >= 0)
-          Slot = T;
-      }
+      int From = std::max(Estart, Lstart + 1);
+      Slot = Q.firstFreeSlot(Alts, From, INT_MAX - From, Alt);
+      assert(Alt >= 0 && "no free cycle past the window");
       Q.assign(Alts[Alt], Slot, static_cast<InstanceId>(V));
     }
 

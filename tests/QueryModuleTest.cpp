@@ -5,6 +5,8 @@
 #include "query/DiscreteQuery.h"
 #include "reduce/Reduction.h"
 #include "support/RNG.h"
+#include "verify/QueryTrace.h"
+#include "verify/TraceFuzzer.h"
 
 #include <gtest/gtest.h>
 
@@ -502,4 +504,175 @@ TEST(QueryModule, ReducedDescriptionAnswersIdentically) {
       QR.assign(Op, Cycle, Id);
     }
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Reuse after reset() and the window scan
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The module configurations a scheduler reuses: bitvector with the union
+/// path off and on, and discrete.
+enum class ModuleKind { Bitvector, BitvectorUnion, Discrete };
+
+const char *kindName(ModuleKind Kind) {
+  switch (Kind) {
+  case ModuleKind::Bitvector:
+    return "bitvector";
+  case ModuleKind::BitvectorUnion:
+    return "bitvector+union";
+  case ModuleKind::Discrete:
+    return "discrete";
+  }
+  return "?";
+}
+
+std::unique_ptr<ContentionQueryModule>
+makeModule(ModuleKind Kind, const MachineDescription &MD, QueryConfig Config) {
+  if (Kind == ModuleKind::Discrete)
+    return std::make_unique<DiscreteQueryModule>(MD, Config);
+  Config.UnionAlternativeCheck = Kind == ModuleKind::BitvectorUnion;
+  return std::make_unique<BitvectorQueryModule>(MD, Config);
+}
+
+void expectSameCounters(const WorkCounters &A, const WorkCounters &B,
+                        const std::string &What) {
+  EXPECT_EQ(A.CheckCalls, B.CheckCalls) << What;
+  EXPECT_EQ(A.CheckUnits, B.CheckUnits) << What;
+  EXPECT_EQ(A.AssignCalls, B.AssignCalls) << What;
+  EXPECT_EQ(A.AssignUnits, B.AssignUnits) << What;
+  EXPECT_EQ(A.FreeCalls, B.FreeCalls) << What;
+  EXPECT_EQ(A.FreeUnits, B.FreeUnits) << What;
+  EXPECT_EQ(A.AssignFreeCalls, B.AssignFreeCalls) << What;
+  EXPECT_EQ(A.AssignFreeUnits, B.AssignFreeUnits) << What;
+  EXPECT_EQ(A.TransitionUnits, B.TransitionUnits) << What;
+}
+
+/// Fuzzes \p Module (built over \p EM.Flat with \p Config) from \p Seed
+/// and returns every call with its answers and evicted lists, serialized.
+std::string fuzzTranscript(ContentionQueryModule &Module,
+                           const ExpandedMachine &EM, QueryConfig Config,
+                           uint64_t Seed) {
+  QueryTrace Trace;
+  Trace.Config = Config;
+  TracingQueryModule Tracer(Module, Trace);
+  FuzzOptions Options;
+  Options.Seed = Seed;
+  Options.Steps = 400;
+  Options.ResetPerMille = 0; // the reset under test is the caller's
+  fuzzQueryModule(Tracer, EM.Flat, EM.Groups, Config, Options);
+  std::ostringstream OS;
+  Trace.serialize(OS);
+  return OS.str();
+}
+
+} // namespace
+
+TEST(QueryModuleReuse, ResetModuleMatchesFreshModule) {
+  // A scheduler resets and reuses one module per II. After any history —
+  // for the bitvector module, one that crossed into update mode — a reset
+  // module must answer, evict and count exactly as a fresh one.
+  ExpandedMachine EM = expandAlternatives(makeToyVliw().MD);
+  for (ModuleKind Kind : {ModuleKind::Bitvector, ModuleKind::BitvectorUnion,
+                          ModuleKind::Discrete})
+    for (int II : {5, 7}) {
+      std::string What = std::string(kindName(Kind)) + " II=" +
+                         std::to_string(II);
+      QueryConfig Config = QueryConfig::modulo(II);
+      std::unique_ptr<ContentionQueryModule> Reused =
+          makeModule(Kind, EM.Flat, Config);
+      fuzzTranscript(*Reused, EM, Config, /*Seed=*/II);
+      if (Kind != ModuleKind::Discrete) {
+        EXPECT_TRUE(static_cast<BitvectorQueryModule &>(*Reused).inUpdateMode())
+            << What << ": the first trace never reached update mode";
+      }
+      Reused->reset();
+      std::string Second = fuzzTranscript(*Reused, EM, Config, 100 + II);
+
+      std::unique_ptr<ContentionQueryModule> Fresh =
+          makeModule(Kind, EM.Flat, Config);
+      std::string Want = fuzzTranscript(*Fresh, EM, Config, 100 + II);
+      EXPECT_EQ(Second, Want) << What;
+      expectSameCounters(Reused->counters(), Fresh->counters(), What);
+    }
+}
+
+TEST(QueryModuleReuse, FirstFreeSlotMatchesPerSlotLoop) {
+  // Each module's own window scan against the slot-by-slot loop over
+  // checkWithAlternatives, on twin modules in the same state: the same
+  // slot, alternative and counters after every scan, in linear and modulo
+  // mode.
+  ExpandedMachine EM = expandAlternatives(makeToyVliw().MD);
+  for (ModuleKind Kind : {ModuleKind::Bitvector, ModuleKind::BitvectorUnion,
+                          ModuleKind::Discrete})
+    for (QueryConfig Config : {QueryConfig::linear(), QueryConfig::modulo(6)}) {
+      std::string What = std::string(kindName(Kind)) +
+                         (Config.Mode == QueryConfig::Linear ? " linear"
+                                                             : " modulo");
+      std::unique_ptr<ContentionQueryModule> Scan =
+          makeModule(Kind, EM.Flat, Config);
+      std::unique_ptr<ContentionQueryModule> Loop =
+          makeModule(Kind, EM.Flat, Config);
+      ASSERT_EQ(fuzzTranscript(*Scan, EM, Config, 9),
+                fuzzTranscript(*Loop, EM, Config, 9));
+
+      RNG R(17);
+      size_t Found = 0;
+      for (int Query = 0; Query < 400; ++Query) {
+        const std::vector<OpId> &Alts =
+            EM.Groups[R.nextBelow(EM.Groups.size())];
+        int From = static_cast<int>(R.nextBelow(48));
+        int Count = static_cast<int>(R.nextBelow(12));
+        int Alt = -2;
+        int Slot = Scan->firstFreeSlot(Alts, From, Count, Alt);
+        int WantSlot = From + Count, WantAlt = -1;
+        for (int T = From; T < From + Count; ++T)
+          if ((WantAlt = Loop->checkWithAlternatives(Alts, T)) >= 0) {
+            WantSlot = T;
+            break;
+          }
+        ASSERT_EQ(Slot, WantSlot) << What << " query " << Query;
+        ASSERT_EQ(Alt, WantAlt) << What << " query " << Query;
+        expectSameCounters(Scan->counters(), Loop->counters(),
+                           What + " query " + std::to_string(Query));
+        Found += Alt >= 0;
+      }
+      EXPECT_GT(Found, 0u) << What;
+      EXPECT_LT(Found, 400u) << What;
+    }
+}
+
+TEST(QueryModuleReuse, WrappersSeeEveryScannedSlot) {
+  // A wrapper inherits the base window scan, so a tracer records one
+  // check-with-alternatives per cycle scanned: up to the free one, or the
+  // whole window when none is free.
+  ExpandedMachine EM = expandAlternatives(makeToyVliw().MD);
+  QueryConfig Config = QueryConfig::modulo(4);
+  BitvectorQueryModule Inner(EM.Flat, Config);
+  QueryTrace Trace;
+  TracingQueryModule Tracer(Inner, Trace);
+  const std::vector<OpId> &Alts = EM.Groups[0];
+
+  int Alt = -2;
+  EXPECT_EQ(Tracer.firstFreeSlot(Alts, 3, 4, Alt), 3);
+  EXPECT_EQ(Alt, 0);
+  ASSERT_EQ(Trace.Records.size(), 1u);
+
+  // Fill every slot with every alternative: nothing in the window fits.
+  InstanceId Next = 0;
+  for (int T = 0; T < 4; ++T)
+    for (OpId Op : Alts)
+      if (Inner.check(Op, T))
+        Inner.assign(Op, T, Next++);
+  Trace.Records.clear();
+  EXPECT_EQ(Tracer.firstFreeSlot(Alts, 10, 4, Alt), 14);
+  EXPECT_EQ(Alt, -1);
+  ASSERT_EQ(Trace.Records.size(), 4u);
+  for (size_t I = 0; I < 4; ++I) {
+    EXPECT_EQ(Trace.Records[I].Call, QueryTraceRecord::CheckAlternatives);
+    EXPECT_EQ(Trace.Records[I].Cycle, 10 + static_cast<int>(I));
+    EXPECT_EQ(Trace.Records[I].Answer, -1);
+  }
+  EXPECT_EQ(Tracer.counters().CheckCalls, Inner.counters().CheckCalls);
 }

@@ -1,5 +1,6 @@
 //===- tests/SchedulerTest.cpp - DepGraph, MII, list & modulo scheduling --===//
 
+#include "ReferenceRecMII.h"
 #include "machines/MachineModel.h"
 #include "query/BitvectorQuery.h"
 #include "query/DiscreteQuery.h"
@@ -8,9 +9,13 @@
 #include "sched/ListScheduler.h"
 #include "sched/MII.h"
 #include "support/RNG.h"
+#include "workload/Corpus.h"
+#include "workload/Experiment.h"
 #include "workload/Kernels.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 using namespace rmd;
 
@@ -323,4 +328,200 @@ TEST(ModuloScheduler, ChecksPerDecisionRecorded) {
     EXPECT_GE(C, 1u);
   EXPECT_GT(R.Counters.AssignFreeCalls, 0u);
   EXPECT_EQ(R.Counters.AssignCalls, 0u); // IMS always uses assign&free
+}
+
+//===----------------------------------------------------------------------===//
+// One query module per II per environment
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+void expectSameRun(const ModuloScheduleResult &A, const ModuloScheduleResult &B,
+                   const std::string &What) {
+  EXPECT_EQ(A.Success, B.Success) << What;
+  EXPECT_EQ(A.II, B.II) << What;
+  EXPECT_EQ(A.Time, B.Time) << What;
+  EXPECT_EQ(A.Alternative, B.Alternative) << What;
+  EXPECT_EQ(A.Stats.DecisionsPerAttempt, B.Stats.DecisionsPerAttempt) << What;
+  EXPECT_EQ(A.Stats.ChecksPerDecision, B.Stats.ChecksPerDecision) << What;
+  EXPECT_EQ(A.Stats.EvictedByResource, B.Stats.EvictedByResource) << What;
+  const WorkCounters &X = A.Counters, &Y = B.Counters;
+  EXPECT_EQ(X.CheckCalls, Y.CheckCalls) << What;
+  EXPECT_EQ(X.CheckUnits, Y.CheckUnits) << What;
+  EXPECT_EQ(X.AssignCalls, Y.AssignCalls) << What;
+  EXPECT_EQ(X.AssignUnits, Y.AssignUnits) << What;
+  EXPECT_EQ(X.FreeCalls, Y.FreeCalls) << What;
+  EXPECT_EQ(X.FreeUnits, Y.FreeUnits) << What;
+  EXPECT_EQ(X.AssignFreeCalls, Y.AssignFreeCalls) << What;
+  EXPECT_EQ(X.AssignFreeUnits, Y.AssignFreeUnits) << What;
+  EXPECT_EQ(X.TransitionUnits, Y.TransitionUnits) << What;
+}
+
+/// \p Env with a factory that tallies its builds per II into \p Builds.
+QueryEnvironment countingEnv(const MachineDescription &Flat,
+                             const std::vector<std::vector<OpId>> &Groups,
+                             const ModuleFactory &Factory,
+                             std::map<int, int> &Builds) {
+  QueryEnvironment Env;
+  Env.FlatMD = &Flat;
+  Env.Groups = &Groups;
+  Env.MakeModule = [&Factory, &Builds](QueryConfig C) {
+    ++Builds[C.ModuloII];
+    return Factory(C);
+  };
+  return Env;
+}
+
+} // namespace
+
+TEST(ModuloScheduler, EnvironmentBuildsOneModulePerII) {
+  // Over a whole corpus, one environment builds each II's module once and
+  // resets it for every later attempt at that II; every loop's results
+  // and counters equal those of a run through a fresh environment.
+  MachineModel Cydra = makeCydra5();
+  ExpandedMachine EM = expandAlternatives(Cydra.MD);
+  MachineDescription Reduced = reduceMachine(EM.Flat).Reduced;
+  std::vector<DepGraph> Corpus = buildCorpus(Cydra, CorpusParams());
+
+  for (auto Kind : {RepresentationSpec::Bitvector, RepresentationSpec::Discrete}) {
+    RepresentationSpec Spec;
+    Spec.Kind = Kind;
+    Spec.FlatMD = &Reduced;
+    ModuleFactory Factory = makeModuleFactory(Spec);
+    std::string Label =
+        Kind == RepresentationSpec::Bitvector ? "bitvector" : "discrete";
+
+    std::map<int, int> Pooled, Fresh;
+    QueryEnvironment Env = countingEnv(Reduced, EM.Groups, Factory, Pooled);
+    size_t FreshBuilds = 0;
+    for (size_t I = 0; I < Corpus.size(); ++I) {
+      ModuloScheduleResult Got = moduloSchedule(Corpus[I], Cydra.MD, Env);
+      std::map<int, int> Once;
+      ModuloScheduleResult Want = moduloSchedule(
+          Corpus[I], Cydra.MD, countingEnv(Reduced, EM.Groups, Factory, Once));
+      expectSameRun(Got, Want, Label + " loop " + std::to_string(I));
+      for (auto [II, Count] : Once) {
+        EXPECT_EQ(Count, 1) << Label << " loop " << I << " II " << II;
+        ++Fresh[II];
+        FreshBuilds += Count;
+      }
+    }
+    // A fresh environment per loop builds far more modules than there are
+    // IIs; the shared one builds exactly one per II those runs built.
+    EXPECT_GT(FreshBuilds, 2 * Pooled.size()) << Label;
+    ASSERT_EQ(Pooled.size(), Fresh.size()) << Label;
+    for (auto [II, Count] : Pooled) {
+      EXPECT_EQ(Count, 1) << Label << " II " << II;
+      EXPECT_TRUE(Fresh.count(II)) << Label << " II " << II;
+    }
+
+    // A second pass through the same environment builds nothing.
+    std::map<int, int> Before = Pooled;
+    for (const DepGraph &G : Corpus)
+      moduloSchedule(G, Cydra.MD, Env);
+    EXPECT_EQ(Pooled, Before) << Label;
+  }
+}
+
+TEST(ModuloScheduler, CopiedEnvironmentStartsWithEmptyPool) {
+  MachineModel Toy = makeToyVliw();
+  ExpandedMachine EM = expandAlternatives(Toy.MD);
+  DepGraph G = bind(livermoreKernels()[6], Toy); // daxpy
+  RepresentationSpec Spec;
+  Spec.FlatMD = &EM.Flat;
+  ModuleFactory Factory = makeModuleFactory(Spec);
+
+  std::map<int, int> Builds;
+  QueryEnvironment Env = countingEnv(EM.Flat, EM.Groups, Factory, Builds);
+  ModuloScheduleResult First = moduloSchedule(G, Toy.MD, Env);
+  ASSERT_TRUE(First.Success);
+  ASSERT_EQ(Builds[First.II], 1);
+
+  QueryEnvironment Copy = Env;
+  expectSameRun(moduloSchedule(G, Toy.MD, Copy), First, "copy");
+  EXPECT_EQ(Builds[First.II], 2); // the copy built its own module
+  expectSameRun(moduloSchedule(G, Toy.MD, Env), First, "original");
+  expectSameRun(moduloSchedule(G, Toy.MD, Copy), First, "copy again");
+  EXPECT_EQ(Builds[First.II], 2);
+}
+
+//===----------------------------------------------------------------------===//
+// RecMII against the binary-search oracle
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+void expectSameRecMII(const DepGraph &G, const std::string &What) {
+  Expected<int> Got = computeRecMIIChecked(G);
+  Expected<int> Want = reference::computeRecMIIChecked(G);
+  ASSERT_EQ(static_cast<bool>(Got), static_cast<bool>(Want)) << What;
+  if (Want) {
+    EXPECT_EQ(Got.value(), Want.value()) << What;
+  } else {
+    EXPECT_EQ(Got.status().code(), Want.status().code()) << What;
+    EXPECT_EQ(Got.status().message(), Want.status().message()) << What;
+  }
+}
+
+} // namespace
+
+TEST(RecMIIOracle, MatchesBinarySearchOnCorpus) {
+  MachineModel Cydra = makeCydra5();
+  for (uint64_t Seed : {uint64_t(0x1327), uint64_t(7)}) {
+    CorpusParams Params;
+    Params.Seed = Seed;
+    std::vector<DepGraph> Corpus = buildCorpus(Cydra, Params);
+    size_t AboveOne = 0;
+    for (size_t I = 0; I < Corpus.size(); ++I) {
+      expectSameRecMII(Corpus[I], "seed " + std::to_string(Seed) + " loop " +
+                                      std::to_string(I));
+      AboveOne += computeRecMII(Corpus[I]) > 1;
+    }
+    EXPECT_GT(AboveOne, Corpus.size() / 10) << "seed " << Seed;
+  }
+}
+
+TEST(RecMIIOracle, MatchesBinarySearchOnRandomGraphs) {
+  // Self-loops, parallel edges, disconnected parts, negative delays, and
+  // (in half the shapes) backward zero-distance edges that close
+  // zero-distance positive cycles.
+  RNG R(2024);
+  size_t Infeasible = 0, Acyclic = 0, Recurrent = 0;
+  for (int Graph = 0; Graph < 200; ++Graph) {
+    int Shape = Graph % 4;
+    DepGraph G("g" + std::to_string(Graph));
+    size_t N = 1 + R.nextBelow(10);
+    for (size_t V = 0; V < N; ++V)
+      G.addNode(0, Graph % 3 ? "n" + std::to_string(V) : "");
+    size_t Edges = R.nextBelow(3 * N + 1);
+    for (size_t E = 0; E < Edges; ++E) {
+      NodeId From = static_cast<NodeId>(R.nextBelow(N));
+      NodeId To = E % 5 == 4 ? From : static_cast<NodeId>(R.nextBelow(N));
+      int Delay = static_cast<int>(R.nextInRange(-2, 8));
+      int Distance = Shape == 2 || R.nextChance(1, 2)
+                         ? 0
+                         : static_cast<int>(R.nextInRange(1, 3));
+      // Shapes 0 and 2 keep zero-distance edges forward (no zero-distance
+      // cycle); shape 1 allows any; shape 3 rarely goes backward.
+      if (Distance == 0 && To <= From &&
+          (Shape == 0 || Shape == 2 || (Shape == 3 && !R.nextChance(1, 6))))
+        std::swap(From, To);
+      if (Distance == 0 && From == To && Shape != 1)
+        continue;
+      G.addEdge(From, To, Delay, Distance);
+      if (R.nextChance(1, 8)) // a parallel edge
+        G.addEdge(From, To, static_cast<int>(R.nextInRange(-2, 8)), Distance);
+    }
+    expectSameRecMII(G, G.name());
+    Expected<int> RecMII = computeRecMIIChecked(G);
+    if (!RecMII)
+      ++Infeasible;
+    else if (RecMII.value() == 1)
+      ++Acyclic;
+    else
+      ++Recurrent;
+  }
+  EXPECT_GE(Infeasible, 20u);
+  EXPECT_GE(Acyclic, 20u);
+  EXPECT_GE(Recurrent, 20u);
 }
