@@ -6,6 +6,7 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <cassert>
 #include <ostream>
 
 using namespace rmd;
@@ -89,6 +90,37 @@ ForbiddenLatencyMatrix::canonicalLatencies() const {
       }
   std::sort(Result.begin(), Result.end());
   return Result;
+}
+
+/// The smallest canonical latency of cell F(X, Y): a zero latency between
+/// distinct operations is canonical only in the X < Y cell.
+static int lowestCanonical(OpId X, OpId Y) { return X <= Y ? 0 : 1; }
+
+CanonicalLatencyIndex::CanonicalLatencyIndex(const ForbiddenLatencyMatrix &FLM)
+    : FLM(FLM), Latencies(FLM.canonicalLatencies()) {
+  size_t NumOps = FLM.numOperations();
+  CellStart.reserve(NumOps * NumOps);
+  uint32_t Start = 0;
+  for (OpId X = 0; X < NumOps; ++X)
+    for (OpId Y = 0; Y < NumOps; ++Y) {
+      CellStart.push_back(Start);
+      const LatencySet &S = FLM.get(X, Y);
+      Start += static_cast<uint32_t>(S.size() -
+                                     S.countBelow(lowestCanonical(X, Y)));
+    }
+  assert(Start == Latencies.size() && "cell counts disagree with the list");
+}
+
+uint32_t CanonicalLatencyIndex::indexOf(const ForbiddenLatency &L) const {
+  const LatencySet &S = FLM.get(L.After, L.Before);
+  int Lowest = lowestCanonical(L.After, L.Before);
+  assert(L.Latency >= Lowest && S.contains(L.Latency) &&
+         "not a canonical latency of the matrix");
+  uint32_t Index = CellStart[L.After * FLM.numOperations() + L.Before] +
+                   static_cast<uint32_t>(S.countBelow(L.Latency) -
+                                         S.countBelow(Lowest));
+  assert(Latencies[Index] == L && "index disagrees with the list");
+  return Index;
 }
 
 int ForbiddenLatencyMatrix::maxAbsoluteLatency() const {

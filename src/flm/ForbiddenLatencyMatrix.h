@@ -125,6 +125,35 @@ inline ForbiddenLatency canonicalize(OpId X, OpId Y, int F) {
   return ForbiddenLatency{Y, X, -F};
 }
 
+/// O(1) map from a canonical forbidden latency to its index in
+/// canonicalLatencies(). That list is sorted (After, Before, Latency), so
+/// the index of (X, Y, F) is the number of canonical members of the cells
+/// before F(X, Y) plus the rank of F among the canonical members of
+/// F(X, Y). The first is one table entry per cell, the second a popcount
+/// over the cell's few words. Memory is O(ops^2 + canonical count).
+///
+/// Reads the cells of the matrix it was built from, which must outlive it
+/// and not change.
+class CanonicalLatencyIndex {
+public:
+  explicit CanonicalLatencyIndex(const ForbiddenLatencyMatrix &FLM);
+
+  /// canonicalLatencies() of the matrix.
+  const std::vector<ForbiddenLatency> &latencies() const { return Latencies; }
+  size_t size() const { return Latencies.size(); }
+
+  /// The index of \p L in latencies(); \p L must be a canonical latency
+  /// of the matrix (asserted).
+  uint32_t indexOf(const ForbiddenLatency &L) const;
+
+private:
+  const ForbiddenLatencyMatrix &FLM;
+  /// CellStart[X * NumOps + Y]: index of the first canonical member of
+  /// F(X, Y).
+  std::vector<uint32_t> CellStart;
+  std::vector<ForbiddenLatency> Latencies;
+};
+
 } // namespace rmd
 
 #endif // RMD_FLM_FORBIDDENLATENCYMATRIX_H

@@ -93,23 +93,22 @@ std::vector<int> LatencySet::values() const {
   return Result;
 }
 
-size_t LatencySet::nonnegativeCount() const {
-  if (Words.empty())
+size_t LatencySet::countBelow(int Latency) const {
+  if (Words.empty() || Latency <= Base)
     return 0;
-  if (Base >= 0)
-    return Count;
-  size_t Negative = 0;
-  size_t ZeroBit = static_cast<size_t>(-Base); // bit index of latency 0
-  size_t FullWords = std::min(ZeroBit / 64, Words.size());
+  size_t Bit = static_cast<size_t>(Latency - Base);
+  size_t FullWords = std::min(Bit / 64, Words.size());
+  size_t Below = 0;
   for (size_t I = 0; I < FullWords; ++I)
-    Negative += static_cast<size_t>(std::popcount(Words[I]));
-  if (ZeroBit / 64 < Words.size() && ZeroBit % 64 != 0) {
-    uint64_t BelowMask = (uint64_t(1) << (ZeroBit % 64)) - 1;
-    Negative +=
-        static_cast<size_t>(std::popcount(Words[ZeroBit / 64] & BelowMask));
+    Below += static_cast<size_t>(std::popcount(Words[I]));
+  if (Bit / 64 < Words.size() && Bit % 64 != 0) {
+    uint64_t BelowMask = (uint64_t(1) << (Bit % 64)) - 1;
+    Below += static_cast<size_t>(std::popcount(Words[Bit / 64] & BelowMask));
   }
-  return Count - Negative;
+  return Below;
 }
+
+size_t LatencySet::nonnegativeCount() const { return Count - countBelow(0); }
 
 LatencySet LatencySet::negated() const {
   LatencySet Result;

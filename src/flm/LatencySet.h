@@ -49,6 +49,10 @@ public:
   /// hot paths iterate begin()/end() or use contains() instead.
   std::vector<int> values() const;
 
+  /// Number of members < \p Latency: the rank of \p Latency among the
+  /// members, in O(words).
+  size_t countBelow(int Latency) const;
+
   /// Number of members >= 0.
   size_t nonnegativeCount() const;
 

@@ -3,8 +3,6 @@
 #include "reduce/ExactCover.h"
 
 #include <algorithm>
-#include <cassert>
-#include <map>
 
 using namespace rmd;
 
@@ -24,8 +22,7 @@ public:
   ExactSearch(const ForbiddenLatencyMatrix &FLM,
               const std::vector<SynthesizedResource> &Pruned,
               uint64_t NodeBudget)
-      : Pruned(Pruned), Canonical(FLM.canonicalLatencies()),
-        NodeBudget(NodeBudget) {
+      : Pruned(Pruned), Canonical(FLM), NodeBudget(NodeBudget) {
     Selected.resize(Pruned.size());
     for (size_t R = 0; R < Pruned.size(); ++R)
       Selected[R].assign(Pruned[R].size(), false);
@@ -72,12 +69,8 @@ public:
   }
 
 private:
-  void record(const ForbiddenLatency &L,
-              UsageRef A, UsageRef B) {
-    auto It = std::lower_bound(Canonical.begin(), Canonical.end(), L);
-    assert(It != Canonical.end() && *It == L &&
-           "resource generates a latency outside the matrix");
-    Options[static_cast<size_t>(It - Canonical.begin())].push_back({A, B});
+  void record(const ForbiddenLatency &L, UsageRef A, UsageRef B) {
+    Options[Canonical.indexOf(L)].push_back({A, B});
   }
 
   /// True if the latency at \p Index is generated by the current
@@ -119,7 +112,7 @@ private:
   }
 
   const std::vector<SynthesizedResource> &Pruned;
-  std::vector<ForbiddenLatency> Canonical;
+  CanonicalLatencyIndex Canonical;
   std::vector<std::vector<std::pair<UsageRef, UsageRef>>> Options;
   std::vector<size_t> Order;
   std::vector<std::vector<bool>> Selected;

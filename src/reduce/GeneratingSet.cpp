@@ -3,13 +3,11 @@
 #include "reduce/GeneratingSet.h"
 
 #include "support/Stats.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <bit>
 #include <cassert>
 #include <numeric>
-#include <unordered_map>
 
 using namespace rmd;
 
@@ -180,18 +178,13 @@ struct FoldState {
   }
 };
 
-/// Per-resource verdict of one elementary pair, computed read-only
-/// against the pre-fold resource state.
-enum class PairVerdict : uint8_t { Fully, Partial, Disjoint };
-
 } // namespace
 
 std::vector<SynthesizedResource>
 rmd::buildGeneratingSet(const ForbiddenLatencyMatrix &FLM,
-                        const GeneratingSetTrace *Trace, ThreadPool *Pool) {
-  // Rule applications are tallied only in the sequential apply phase and
-  // published once per pair, so the totals are identical at every thread
-  // count (the scan phase is read-only and the apply order is fixed).
+                        const GeneratingSetTrace *Trace,
+                        ThreadPool * /*Pool*/) {
+  // Rule applications are tallied per pair and published once per pair.
   static StatCounter PairStat("reduce.pairs");
   static StatCounter Rule1Stat("reduce.rule1");
   static StatCounter Rule2Stat("reduce.rule2");
@@ -233,7 +226,6 @@ rmd::buildGeneratingSet(const ForbiddenLatencyMatrix &FLM,
         setBit(&Compat[J * W], I);
 
   std::vector<uint64_t> Both(W), Candidate(W);
-  std::vector<PairVerdict> Verdicts;
 
   for (const ElementaryPair &P : Pairs) {
     PairStat.add();
@@ -243,40 +235,21 @@ rmd::buildGeneratingSet(const ForbiddenLatencyMatrix &FLM,
     for (size_t Word = 0; Word < W; ++Word)
       Both[Word] = Compat[FirstId * W + Word] & Compat[SecondId * W + Word];
 
-    // Scan phase (parallel): the verdict of every resource that existed
-    // when this pair's processing started. Verdicts depend only on the
-    // compatibility rows and each resource's current usages — Rules 1/2
-    // below never change another resource's verdict — so this phase reads
-    // exactly what the sequential fold would read.
+    // Judge every resource that existed when this pair's processing
+    // started, in index order. Rule 1 changes only the resource being
+    // judged and Rule 2 appends past End, so each verdict reads the
+    // resource exactly as it was before the pair.
     size_t End = State.NumResources;
-    Verdicts.resize(End);
-    auto Scan = [&](size_t Begin, size_t BlockEnd) {
-      for (size_t I = Begin; I < BlockEnd; ++I) {
-        const uint64_t *R = State.bits(I);
-        uint64_t Outside = 0, Inside = 0;
-        for (size_t Word = 0; Word < W; ++Word) {
-          Outside |= R[Word] & ~Both[Word];
-          Inside |= R[Word] & Both[Word];
-        }
-        Verdicts[I] = Outside == 0  ? PairVerdict::Fully
-                      : Inside != 0 ? PairVerdict::Partial
-                                    : PairVerdict::Disjoint;
-      }
-    };
-    // A verdict is a few word operations, so the pool handshake only pays
-    // for itself on large sets; smaller ones run inline.
-    if (Pool)
-      Pool->parallelFor(0, End, Scan, /*MinPerBlock=*/2048);
-    else
-      Scan(0, End);
-
-    // Apply phase (sequential, resource-index order — the same order the
-    // sequential fold uses, so the folded set is bit-identical).
     bool PairTogether = false;
     uint64_t Rule1s = 0, Rule2s = 0, Discards = 0;
     for (size_t I = 0; I < End; ++I) {
-      switch (Verdicts[I]) {
-      case PairVerdict::Fully:
+      const uint64_t *R = State.bits(I);
+      uint64_t Outside = 0, Inside = 0;
+      for (size_t Word = 0; Word < W; ++Word) {
+        Outside |= R[Word] & ~Both[Word];
+        Inside |= R[Word] & Both[Word];
+      }
+      if (Outside == 0) {
         // Rule 1: fully compatible; merge the pair into the resource.
         State.mergeUsage(static_cast<uint32_t>(I), FirstId);
         State.mergeUsage(static_cast<uint32_t>(I), SecondId);
@@ -284,16 +257,13 @@ rmd::buildGeneratingSet(const ForbiddenLatencyMatrix &FLM,
         ++Rule1s;
         if (Trace && Trace->OnRule)
           Trace->OnRule(GeneratingRule::Rule1, I);
-        break;
-      case PairVerdict::Disjoint:
+      } else if (Inside == 0) {
         // Rule 2 would spawn just the bare pair; discard.
         ++Discards;
         if (Trace && Trace->OnRule)
           Trace->OnRule(GeneratingRule::Rule2Discard, I);
-        break;
-      case PairVerdict::Partial: {
+      } else {
         // Rule 2: partially compatible; spawn pair + compatible subset.
-        const uint64_t *R = State.bits(I);
         for (size_t Word = 0; Word < W; ++Word)
           Candidate[Word] = R[Word] & Both[Word];
         setBit(Candidate.data(), FirstId);
@@ -306,8 +276,6 @@ rmd::buildGeneratingSet(const ForbiddenLatencyMatrix &FLM,
             Trace->OnRule(GeneratingRule::Rule2,
                           static_cast<size_t>(NewIndex));
         }
-        break;
-      }
       }
     }
     Rule1Stat.add(Rule1s);
@@ -345,13 +313,176 @@ rmd::buildGeneratingSet(const ForbiddenLatencyMatrix &FLM,
   return State.materialize(Ids);
 }
 
+namespace {
+
+/// Dense ids for canonical latencies (After, Before, Latency), in the
+/// order they are first interned. CellOf holds, per operation pair, the
+/// cell F(After, Before): nothing yet, one latency and its id inline (most
+/// cells of a wide machine hold one), or a run of id slots, one per
+/// latency in a range [Lo, Lo + Len) covering those seen, stored after a
+/// slot holding Len. A latency outside a cell's range moves its run to the
+/// end of the slots, at least doubled. So memory is two words per
+/// operation pair plus, per cell holding several latencies, a run no
+/// longer than twice their range; never a span of latencies per pair.
+class LatencyIds {
+public:
+  explicit LatencyIds(size_t NumOps)
+      : NumOps(NumOps), CellOf(NumOps * NumOps, Cell{0, Empty}) {}
+
+  uint32_t intern(OpId After, OpId Before, int Latency) {
+    Cell &C = CellOf[After * NumOps + Before];
+    if (C.Ref & Inline) {
+      if (Latency == C.Lo)
+        return C.Ref & ~Inline;
+    } else if (C.Ref != Empty) {
+      // Below Lo the index wraps, so one compare checks both ends.
+      uint32_t Index = static_cast<uint32_t>(Latency - C.Lo);
+      if (Index < Slots[C.Ref - 1]) {
+        uint32_t &Id = Slots[C.Ref + Index];
+        if (Id == None)
+          Id = NumIds++;
+        return Id;
+      }
+    }
+    return add(C, Latency);
+  }
+
+  size_t size() const { return NumIds; }
+
+private:
+  /// An id slot no latency has claimed.
+  static constexpr uint32_t None = ~uint32_t(0);
+  /// A cell with no latency. Runs start past the length slot, so at 1 or
+  /// more.
+  static constexpr uint32_t Empty = 0;
+  static constexpr uint32_t Inline = uint32_t(1) << 31;
+
+  struct Cell {
+    /// The inline latency, or the latency of the run's first slot.
+    int Lo;
+    /// Empty, Inline | the inline latency's id, or the run's first slot.
+    uint32_t Ref;
+  };
+
+  /// Gives \p Latency, which \p C does not hold, a new id.
+  uint32_t add(Cell &C, int Latency) {
+    assert(NumIds < Inline && "too many latency ids");
+    uint32_t Id = NumIds++;
+    if (C.Ref == Empty) {
+      C = Cell{Latency, Inline | Id};
+      return Id;
+    }
+    // Move or widen into a run covering the cell's latencies and Latency.
+    int OldLo = C.Lo, OldLen = 1;
+    if (!(C.Ref & Inline))
+      OldLen = static_cast<int>(Slots[C.Ref - 1]);
+    int Lo = std::min(OldLo, Latency);
+    int Len = std::max(std::max(OldLo + OldLen, Latency + 1) - Lo, 2 * OldLen);
+    size_t Run = Slots.size() + 1;
+    Slots.resize(Run + static_cast<size_t>(Len), None);
+    Slots[Run - 1] = static_cast<uint32_t>(Len);
+    if (C.Ref & Inline)
+      Slots[Run + static_cast<size_t>(OldLo - Lo)] = C.Ref & ~Inline;
+    else
+      std::copy_n(Slots.begin() + C.Ref, OldLen,
+                  Slots.begin() + Run + (OldLo - Lo));
+    Slots[Run + static_cast<size_t>(Latency - Lo)] = Id;
+    C = Cell{Lo, static_cast<uint32_t>(Run)};
+    return Id;
+  }
+
+  size_t NumOps;
+  std::vector<Cell> CellOf;
+  std::vector<uint32_t> Slots;
+  uint32_t NumIds = 0;
+};
+
+/// The canonical latencies one resource generates, cell by cell. Usages
+/// (X, c) and (Y, c + f) with f >= 0 generate (X, Y, f), except that a
+/// zero latency between distinct operations belongs to cell (min, max). So
+/// with Cycles[X] the mask of cycles at which X holds a usage, the
+/// latencies of cell (X, Y) are the set bits of
+///   OR over c in Cycles[X] of (Cycles[Y] >> c),
+/// less bit 0 when X > Y. That is (ops) x (usages) shifted masks per
+/// resource, where listing the usage pairs takes usages^2 / 2 steps, and
+/// each latency comes out once.
+class ResourceLatencies {
+public:
+  ResourceLatencies(size_t NumOps, int MaxCycle)
+      : Words(wordsFor(static_cast<size_t>(MaxCycle) + 1)),
+        LocalOf(NumOps, Unused) {}
+
+  /// Calls Visit(After, Before, Latency) once for each canonical latency
+  /// \p R generates.
+  template <typename VisitFn>
+  void forEach(const SynthesizedResource &R, VisitFn &&Visit) {
+    Ops.clear();
+    for (const SynthUsage &U : R.usages())
+      if (LocalOf[U.Op] == Unused) {
+        LocalOf[U.Op] = static_cast<uint32_t>(Ops.size());
+        Ops.push_back(U.Op);
+      }
+    // Word-major masks: word W of operation Y's cycles is Cycles[W * N +
+    // Y], so each step below is one pass over contiguous words. The N
+    // words after the last mask word are zero, so a shift reads the word
+    // above without a bounds test.
+    const size_t N = Ops.size();
+    Cycles.assign((Words + 1) * N, 0);
+    for (const SynthUsage &U : R.usages())
+      Cycles[static_cast<size_t>(U.Cycle) / 64 * N + LocalOf[U.Op]] |=
+          uint64_t(1) << (U.Cycle % 64);
+
+    Row.resize(Words * N);
+    for (size_t X = 0; X < N; ++X) {
+      // Row = cell (X, Y) for every Y at once, word-major too. It depends
+      // only on X's cycles, so an operation with the same cycles as the
+      // previous one (often all of a resource's operations) reuses it. A
+      // shift by c is c / 64 whole words and a bit shift Bits < 64; the
+      // word above comes in as (Hi << 1) << (63 - Bits), which is 0 when
+      // Bits is 0, so no word is shifted by 64 or more.
+      bool SameCycles = X > 0;
+      for (size_t Word = 0; Word < Words && SameCycles; ++Word)
+        SameCycles = Cycles[Word * N + X] == Cycles[Word * N + X - 1];
+      if (!SameCycles) {
+        std::fill(Row.begin(), Row.end(), 0);
+        for (size_t Skip = 0; Skip < Words; ++Skip)
+          for (uint64_t M = Cycles[Skip * N + X]; M != 0; M &= M - 1) {
+            int Bits = std::countr_zero(M);
+            for (size_t K = 0; K + Skip < Words; ++K) {
+              const uint64_t *Lo = &Cycles[(K + Skip) * N], *Hi = Lo + N;
+              uint64_t *Dst = &Row[K * N];
+              for (size_t Y = 0; Y < N; ++Y)
+                Dst[Y] |= (Lo[Y] >> Bits) | ((Hi[Y] << 1) << (63 - Bits));
+            }
+          }
+      }
+      for (size_t Y = 0; Y < N; ++Y) {
+        uint64_t Keep = Ops[X] > Ops[Y] ? ~uint64_t(1) : ~uint64_t(0);
+        for (size_t Word = 0; Word < Words; ++Word, Keep = ~uint64_t(0))
+          for (uint64_t M = Row[Word * N + Y] & Keep; M != 0; M &= M - 1)
+            Visit(Ops[X], Ops[Y],
+                  static_cast<int>(Word * 64) + std::countr_zero(M));
+      }
+    }
+    for (OpId Op : Ops)
+      LocalOf[Op] = Unused;
+  }
+
+private:
+  static constexpr uint32_t Unused = ~uint32_t(0);
+
+  const size_t Words;            ///< words of a cycle mask
+  std::vector<uint32_t> LocalOf; ///< operation -> index in Ops, or Unused
+  std::vector<OpId> Ops;         ///< operations of the current resource
+  std::vector<uint64_t> Cycles;  ///< their cycle masks, word-major
+  std::vector<uint64_t> Row;     ///< cells (X, Y) of one X, word-major
+};
+
+} // namespace
+
 std::vector<SynthesizedResource>
 rmd::pruneGeneratingSet(std::vector<SynthesizedResource> Set,
                         ThreadPool * /*Pool*/) {
-  // Compact ids: one per distinct usage of the set, then one per distinct
-  // canonical latency some resource generates. LatencyOf caches the
-  // latency id of each usage-id pair (a co-located pair always generates
-  // the same canonical latency), so each pair is hashed at most once.
   size_t NumOps = 0;
   int MaxCycle = 0;
   for (const SynthesizedResource &R : Set)
@@ -359,54 +490,38 @@ rmd::pruneGeneratingSet(std::vector<SynthesizedResource> Set,
       NumOps = std::max<size_t>(NumOps, U.Op + 1);
       MaxCycle = std::max(MaxCycle, U.Cycle);
     }
-  UsageIds Ids(NumOps, MaxCycle);
-  std::vector<std::vector<uint32_t>> Members(Set.size());
-  for (size_t I = 0; I < Set.size(); ++I)
-    for (const SynthUsage &U : Set[I].usages())
-      Members[I].push_back(Ids.intern(U));
-  const size_t NumUsages = Ids.size();
-  std::vector<int32_t> LatencyOf(NumUsages * NumUsages, -1);
-  std::unordered_map<uint64_t, uint32_t> LatencyIds;
-  auto newLatencyId = [&](uint32_t A, uint32_t B) {
-    ForbiddenLatency L = generatedLatency(Ids.usage(A), Ids.usage(B));
-    uint64_t Key = (uint64_t(L.After) << 42) | (uint64_t(L.Before) << 21) |
-                   static_cast<uint64_t>(L.Latency);
-    int32_t Id = static_cast<int32_t>(
-        LatencyIds.emplace(Key, LatencyIds.size()).first->second);
-    LatencyOf[A * NumUsages + B] = LatencyOf[B * NumUsages + A] = Id;
-    return Id;
-  };
+  ResourceLatencies Latencies(NumOps, MaxCycle);
+  LatencyIds Ids(NumOps);
 
   // Each resource's generated latency set (its one self-latency per usage
-  // plus one latency per usage pair) as a bitset over the latency ids.
-  // Scratch is sized for every id the resource could add.
+  // plus one latency per usage pair) as a bitset over the ids. A set is
+  // as wide as the ids assigned up to and including its resource, so later
+  // sets may be wider; a word past a set's end is zero. Each latency is
+  // visited once per resource, so each bit is set once and counted.
   std::vector<std::vector<uint64_t>> Generated(Set.size());
+  std::vector<size_t> Count(Set.size());
   std::vector<uint64_t> Scratch;
   for (size_t I = 0; I < Set.size(); ++I) {
-    const std::vector<uint32_t> &U = Members[I];
-    Scratch.assign(
-        wordsFor(LatencyIds.size() + U.size() * (U.size() + 1) / 2), 0);
-    for (size_t A = 0; A < U.size(); ++A) {
-      const int32_t *Row = &LatencyOf[U[A] * NumUsages];
-      for (size_t B = A; B < U.size(); ++B) {
-        int32_t Id = Row[U[B]];
-        if (Id < 0)
-          Id = newLatencyId(U[A], U[B]);
-        setBit(Scratch.data(), static_cast<uint32_t>(Id));
-      }
-    }
-    Generated[I].assign(Scratch.begin(),
-                        Scratch.begin() + wordsFor(LatencyIds.size()));
+    size_t Size = 0;
+    Latencies.forEach(Set[I], [&](OpId After, OpId Before, int Latency) {
+      uint32_t Id = Ids.intern(After, Before, Latency);
+      if (Id / 64 >= Scratch.size())
+        Scratch.resize(Id / 64 + 1, 0);
+      setBit(Scratch.data(), Id);
+      ++Size;
+    });
+    Count[I] = Size;
+    Generated[I].assign(Scratch.begin(), Scratch.end());
+    std::fill(Scratch.begin(), Scratch.end(), 0);
   }
-  const size_t W = wordsFor(LatencyIds.size());
-  std::vector<uint64_t> Bits(Set.size() * W, 0);
-  std::vector<size_t> Count(Set.size());
-  for (size_t I = 0; I < Set.size(); ++I) {
-    std::copy(Generated[I].begin(), Generated[I].end(), &Bits[I * W]);
-    for (uint64_t Word : Generated[I])
-      Count[I] += std::popcount(Word);
-  }
-  auto bits = [&](size_t I) { return &Bits[I * W]; };
+  // True if set A is a subset of set B (A & ~B is empty, B zero-extended).
+  auto covers = [&](size_t B, size_t A) {
+    const std::vector<uint64_t> &SA = Generated[A], &SB = Generated[B];
+    size_t Common = std::min(SA.size(), SB.size());
+    return isSubset(SA.data(), SB.data(), Common) &&
+           std::all_of(SA.begin() + Common, SA.end(),
+                       [](uint64_t Word) { return Word == 0; });
+  };
 
   // Judge resources largest generated set first, ties by descending
   // index, and drop each one covered by a resource already kept. This
@@ -425,9 +540,8 @@ rmd::pruneGeneratingSet(std::vector<SynthesizedResource> Set,
   std::vector<uint8_t> Removed(Set.size(), 0);
   std::vector<size_t> Kept;
   for (size_t I : Order) {
-    if (std::any_of(Kept.begin(), Kept.end(), [&](size_t K) {
-          return isSubset(bits(I), bits(K), W);
-        }))
+    if (std::any_of(Kept.begin(), Kept.end(),
+                    [&](size_t K) { return covers(K, I); }))
       Removed[I] = 1;
     else
       Kept.push_back(I);

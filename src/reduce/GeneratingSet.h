@@ -75,12 +75,10 @@ enumerateElementaryPairs(const ForbiddenLatencyMatrix &FLM);
 /// when R & C is empty, else a Rule 2 candidate (R & C plus the pair).
 /// The usage vectors are built from the bitsets once, after the fold.
 ///
-/// With \p Pool, the per-pair verdict scan over a large resource set runs
-/// in parallel blocks; Rules 1–4 are then applied sequentially in
-/// resource-index order. The verdicts are read-only functions of the
-/// forbidden latencies and of resource state *before* the pair is folded —
-/// exactly what the sequential fold reads — so the result is bit-identical
-/// to the sequential fold at every thread count.
+/// Each pair judges and updates the resources in one in-order pass: Rule 1
+/// changes only the resource being judged and Rules 2/3 append past the
+/// resources the pair judges. A verdict costs a few word operations, so
+/// the fold is sequential and \p Pool is ignored.
 std::vector<SynthesizedResource>
 buildGeneratingSet(const ForbiddenLatencyMatrix &FLM,
                    const GeneratingSetTrace *Trace = nullptr,
@@ -93,12 +91,17 @@ buildGeneratingSet(const ForbiddenLatencyMatrix &FLM,
 ///
 /// Each generated latency set is a bitset over compact ids of the
 /// canonical latencies the set generates, so a cover test is a word-wise
-/// A & ~B. Resource I is removed iff some J generates a strict superset,
-/// or generates the same set and has the larger index. The prune finds
-/// these by visiting resources largest set first (ties by descending
-/// index) and testing each only against the resources already kept: a
-/// cover that was itself removed is covered by a kept one. The survivors
-/// are few, so the judge is sequential and \p Pool is ignored.
+/// A & ~B. The sets are built cell by cell from per-operation cycle
+/// masks: the latencies a resource generates in F(X, Y) are the set bits
+/// of the OR of X's cycle mask shifted against Y's, so each distinct
+/// latency is set once rather than once per usage pair.
+///
+/// Resource I is removed iff some J generates a strict superset, or
+/// generates the same set and has the larger index. The prune finds these
+/// by visiting resources largest set first (ties by descending index) and
+/// testing each only against the resources already kept: a cover that was
+/// itself removed is covered by a kept one. The survivors are few, so the
+/// judge is sequential and \p Pool is ignored.
 std::vector<SynthesizedResource>
 pruneGeneratingSet(std::vector<SynthesizedResource> Set,
                    ThreadPool *Pool = nullptr);

@@ -82,7 +82,7 @@ reduceMachineImpl(const MachineDescription &MD,
   ReductionResult Result;
   std::vector<SynthesizedResource> Generating = [&] {
     TraceSpan Span("fold");
-    return buildGeneratingSet(FLM, Options.Trace, PoolPtr);
+    return buildGeneratingSet(FLM, Options.Trace);
   }();
   Result.GeneratingSetSize = Generating.size();
   GenSizeStat.add(Result.GeneratingSetSize);

@@ -34,8 +34,8 @@ struct ReductionOptions {
   /// Optional Algorithm 1 tracing (Figure 3).
   const GeneratingSetTrace *Trace = nullptr;
 
-  /// Worker threads for the parallel phases (FLM rows, the fold's
-  /// verdict scans). 1 = sequential; 0 = hardware concurrency.
+  /// Worker threads for the parallel phase (FLM rows). 1 = sequential;
+  /// 0 = hardware concurrency.
   /// Every value produces bit-identical output (see the thread-sweep
   /// tests); this only trades wall-clock time.
   unsigned Threads = 1;

@@ -56,9 +56,10 @@ public:
 
   /// All canonical forbidden latencies this resource generates: one
   /// (X, X, 0) per usage, plus one triple per unordered usage pair. Sorted
-  /// and duplicate-free. O(u^2 log u); the prune computes the same sets as
-  /// latency-id bitsets instead, so this serves rendering, explanations
-  /// and tests.
+  /// and duplicate-free. O(u^2 log u); the prune builds the same sets as
+  /// latency-id bitsets from per-operation cycle masks instead, and the
+  /// selection reads them from a per-resource matrix of canonical
+  /// indices, so this serves rendering, explanations and tests.
   std::vector<ForbiddenLatency> generatedLatencies() const;
 
   /// A stable total order / equality key (the usage vector itself).

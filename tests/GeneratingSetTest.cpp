@@ -5,6 +5,7 @@
 #include "machines/MachineCatalog.h"
 #include "machines/MachineModel.h"
 #include "reduce/GeneratingSet.h"
+#include "support/RNG.h"
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
 
@@ -302,6 +303,68 @@ TEST(GeneratingSetPrune, TranslatedUsageSetsGenerateEqualSets) {
   ASSERT_EQ(Early.generatedLatencies(), Late.generatedLatencies());
   SynthesizedResource Other({SynthUsage{1, 0}, SynthUsage{2, 1}});
   expectPruneKeeps({Early, Other, Late}, {1, 2});
+}
+
+// Cycle masks span several 64-bit words here: latencies 63, 64, 127, 128
+// and 200 sit on either side of word boundaries.
+TEST(GeneratingSetPrune, LatenciesAcrossWordBoundaries) {
+  SynthesizedResource Wide = selfResource({0, 63, 64, 127, 128, 200});
+  // {0, 64, 128}, {0, 200}, {0, 1, 65}, {0, 137} and {0, 72} only
+  // generate differences of Wide's cycles.
+  expectPruneKeeps({selfResource({0, 64, 128}), selfResource({0, 200}), Wide,
+                    selfResource({0, 1, 65}), selfResource({0, 137}),
+                    selfResource({0, 72})},
+                   {2});
+  // 66 is no difference of Wide's cycles.
+  expectPruneKeeps({Wide, selfResource({0, 66})}, {0, 1});
+}
+
+// Operations 0 and 1 two cycles apart, straddling the boundaries of words
+// 0/1 and 1/2; each resource's anchor op sits at cycle 0. The bare pair
+// is covered by every other resource; the others differ in their anchor
+// latencies.
+TEST(GeneratingSetPrune, OperationPairsStraddlingWordBoundaries) {
+  SynthesizedResource Low(
+      {SynthUsage{2, 0}, SynthUsage{0, 62}, SynthUsage{1, 64}});
+  SynthesizedResource Pair({SynthUsage{0, 0}, SynthUsage{1, 2}});
+  SynthesizedResource Near(
+      {SynthUsage{2, 0}, SynthUsage{0, 10}, SynthUsage{1, 12}});
+  SynthesizedResource High({SynthUsage{3, 0}, SynthUsage{0, 127},
+                            SynthUsage{1, 129}, SynthUsage{3, 200}});
+  expectPruneKeeps({Low, Pair, Near, High}, {0, 2, 3});
+}
+
+// Seeded random sets with cycles up to 200, each with subsets and
+// translated copies of its own resources mixed in, against the reference.
+TEST(GeneratingSetPrune, RandomWideSetsMatchReference) {
+  for (uint64_t Seed = 1; Seed <= 50; ++Seed) {
+    RNG R(Seed);
+    unsigned NumOps = 1 + static_cast<unsigned>(R.nextBelow(4));
+    std::vector<SynthesizedResource> Set;
+    unsigned NumBase = 2 + static_cast<unsigned>(R.nextBelow(5));
+    for (unsigned I = 0; I < NumBase; ++I) {
+      std::vector<SynthUsage> Usages;
+      unsigned NumUsages = 1 + static_cast<unsigned>(R.nextBelow(6));
+      for (unsigned U = 0; U < NumUsages; ++U)
+        Usages.push_back(SynthUsage{static_cast<OpId>(R.nextBelow(NumOps)),
+                                    static_cast<int>(R.nextBelow(201))});
+      Set.emplace_back(std::move(Usages));
+    }
+    unsigned NumDerived = static_cast<unsigned>(R.nextBelow(5));
+    for (unsigned I = 0; I < NumDerived; ++I) {
+      const SynthesizedResource &From = Set[R.nextBelow(Set.size())];
+      int Shift = static_cast<int>(R.nextBelow(130));
+      std::vector<SynthUsage> Usages;
+      for (const SynthUsage &U : From.usages())
+        if (R.nextBelow(4) != 0)
+          Usages.push_back(SynthUsage{U.Op, U.Cycle + Shift});
+      if (Usages.empty())
+        Usages.push_back(From.usages().front());
+      Set.emplace_back(std::move(Usages));
+    }
+    EXPECT_EQ(pruneGeneratingSet(Set), reference::pruneGeneratingSet(Set))
+        << "seed " << Seed;
+  }
 }
 
 // Exact Algorithm 1 rule tallies and set sizes per catalog machine, at 1,

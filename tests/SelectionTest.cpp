@@ -1,5 +1,8 @@
 //===- tests/SelectionTest.cpp - Selection heuristic unit tests -----------===//
 
+#include "RandomMachine.h"
+#include "ReferenceSelection.h"
+#include "machines/MachineCatalog.h"
 #include "machines/MachineModel.h"
 #include "reduce/GeneratingSet.h"
 #include "reduce/Metrics.h"
@@ -158,4 +161,48 @@ TEST(Metrics, Averages) {
   EXPECT_EQ(stateBitsPerCycle(MD), 5u);
   // k=1 word usage = number of distinct used cycles: A: 3, B: 8.
   EXPECT_DOUBLE_EQ(averageWordUsesPerOperation(MD, 1), 5.5);
+}
+
+//===----------------------------------------------------------------------===//
+// Differential oracle
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The greedy cover must select exactly the reference's usages, for the
+/// res-uses objective and for 1, 2, 4 and 8 cycles per word.
+void expectSelectionMatchesReference(const MachineDescription &MD,
+                                     const std::string &Label) {
+  PreparedMachine P = prepare(MD);
+  for (SelectionObjective Objective :
+       {SelectionObjective::resUses(), SelectionObjective::wordUses(1),
+        SelectionObjective::wordUses(2), SelectionObjective::wordUses(4),
+        SelectionObjective::wordUses(8)})
+    EXPECT_EQ(selectCover(P.FLM, P.Pruned, Objective).SelectedUsages,
+              reference::selectCover(P.FLM, P.Pruned, Objective)
+                  .SelectedUsages)
+        << Label << ", " << Objective.CyclesPerWord << " cycles per word"
+        << (Objective.ObjectiveKind == SelectionObjective::ResUses
+                ? " (res-uses)"
+                : "");
+}
+
+} // namespace
+
+TEST(SelectionOracle, CatalogMachines) {
+  for (const std::string &Name : machineNames())
+    expectSelectionMatchesReference(machineByName(Name).value().MD, Name);
+}
+
+TEST(SelectionOracle, RandomMachines) {
+  for (uint64_t Seed = 1; Seed <= 40; ++Seed)
+    expectSelectionMatchesReference(randomValidMachine(Seed),
+                                    "seed " + std::to_string(Seed));
+}
+
+TEST(SelectionOracle, ScaledVliw) {
+  for (auto [Units, DivBusy] : {std::pair{8u, 4u}, std::pair{16u, 8u}})
+    expectSelectionMatchesReference(
+        makeScaledVliw(Units, DivBusy).MD,
+        "vliw" + std::to_string(Units) + "x" + std::to_string(DivBusy));
 }
