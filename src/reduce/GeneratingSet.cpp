@@ -416,12 +416,21 @@ public:
   /// \p R generates.
   template <typename VisitFn>
   void forEach(const SynthesizedResource &R, VisitFn &&Visit) {
+    // Operations in the order of their first usage (by cycle, then op),
+    // with their first and last cycles.
     Ops.clear();
-    for (const SynthUsage &U : R.usages())
-      if (LocalOf[U.Op] == Unused) {
-        LocalOf[U.Op] = static_cast<uint32_t>(Ops.size());
+    First.clear();
+    Last.clear();
+    for (const SynthUsage &U : R.usages()) {
+      uint32_t &Local = LocalOf[U.Op];
+      if (Local == Unused) {
+        Local = static_cast<uint32_t>(Ops.size());
         Ops.push_back(U.Op);
+        First.push_back(U.Cycle);
+        Last.push_back(U.Cycle);
       }
+      Last[Local] = U.Cycle;
+    }
     // Word-major masks: word W of operation Y's cycles is Cycles[W * N +
     // Y], so each step below is one pass over contiguous words. The N
     // words after the last mask word are zero, so a shift reads the word
@@ -433,6 +442,14 @@ public:
           uint64_t(1) << (U.Cycle % 64);
 
     Row.resize(Words * N);
+    // Reach: the last cycle of the operations before X that use more than
+    // one cycle. A cell (X, Y) with Y before X can hold a latency only if
+    // Y uses a cycle at or after X's first: an operation with a single
+    // cycle c <= First[X] gives only latencies <= 0, and latency 0 only
+    // when c == First[X], where Y precedes X by operation id and the zero
+    // belongs to F(Y, X). So with Reach < First[X] the cells before X are
+    // all empty and are skipped.
+    int Reach = -1;
     for (size_t X = 0; X < N; ++X) {
       // Row = cell (X, Y) for every Y at once, word-major too. It depends
       // only on X's cycles, so an operation with the same cycles as the
@@ -456,13 +473,15 @@ public:
             }
           }
       }
-      for (size_t Y = 0; Y < N; ++Y) {
+      for (size_t Y = Reach < First[X] ? X : 0; Y < N; ++Y) {
         uint64_t Keep = Ops[X] > Ops[Y] ? ~uint64_t(1) : ~uint64_t(0);
         for (size_t Word = 0; Word < Words; ++Word, Keep = ~uint64_t(0))
           for (uint64_t M = Row[Word * N + Y] & Keep; M != 0; M &= M - 1)
             Visit(Ops[X], Ops[Y],
                   static_cast<int>(Word * 64) + std::countr_zero(M));
       }
+      if (First[X] != Last[X])
+        Reach = std::max(Reach, Last[X]);
     }
     for (OpId Op : Ops)
       LocalOf[Op] = Unused;
@@ -474,6 +493,7 @@ private:
   const size_t Words;            ///< words of a cycle mask
   std::vector<uint32_t> LocalOf; ///< operation -> index in Ops, or Unused
   std::vector<OpId> Ops;         ///< operations of the current resource
+  std::vector<int> First, Last;  ///< their first and last cycles
   std::vector<uint64_t> Cycles;  ///< their cycle masks, word-major
   std::vector<uint64_t> Row;     ///< cells (X, Y) of one X, word-major
 };
