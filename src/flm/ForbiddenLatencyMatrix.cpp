@@ -71,12 +71,21 @@ size_t ForbiddenLatencyMatrix::totalEntries() const {
 size_t ForbiddenLatencyMatrix::canonicalCount() const {
   size_t Count = 0;
   for (OpId X = 0; X < NumOps; ++X)
-    for (OpId Y = 0; Y < NumOps; ++Y)
-      for (int F : get(X, Y)) {
-        if (F > 0 || (F == 0 && X <= Y))
-          ++Count;
-      }
+    for (OpId Y = 0; Y < NumOps; ++Y) {
+      const LatencySet &S = get(X, Y);
+      Count += S.size() - S.countBelow(lowestCanonical(X, Y));
+    }
   return Count;
+}
+
+/// Appends the canonical latencies of cell F(X, Y) to \p Out in ascending
+/// order; walking the cells row-major thus lists them sorted.
+static void appendCanonical(const ForbiddenLatencyMatrix &FLM, OpId X, OpId Y,
+                            std::vector<ForbiddenLatency> &Out) {
+  int Lowest = lowestCanonical(X, Y);
+  for (int F : FLM.get(X, Y))
+    if (F >= Lowest)
+      Out.push_back(ForbiddenLatency{X, Y, F});
 }
 
 std::vector<ForbiddenLatency>
@@ -84,31 +93,19 @@ ForbiddenLatencyMatrix::canonicalLatencies() const {
   std::vector<ForbiddenLatency> Result;
   for (OpId X = 0; X < NumOps; ++X)
     for (OpId Y = 0; Y < NumOps; ++Y)
-      for (int F : get(X, Y)) {
-        if (F > 0 || (F == 0 && X <= Y))
-          Result.push_back(ForbiddenLatency{X, Y, F});
-      }
-  std::sort(Result.begin(), Result.end());
+      appendCanonical(*this, X, Y, Result);
   return Result;
 }
 
-/// The smallest canonical latency of cell F(X, Y): a zero latency between
-/// distinct operations is canonical only in the X < Y cell.
-static int lowestCanonical(OpId X, OpId Y) { return X <= Y ? 0 : 1; }
-
 CanonicalLatencyIndex::CanonicalLatencyIndex(const ForbiddenLatencyMatrix &FLM)
-    : FLM(FLM), Latencies(FLM.canonicalLatencies()) {
+    : FLM(FLM) {
   size_t NumOps = FLM.numOperations();
   CellStart.reserve(NumOps * NumOps);
-  uint32_t Start = 0;
   for (OpId X = 0; X < NumOps; ++X)
     for (OpId Y = 0; Y < NumOps; ++Y) {
-      CellStart.push_back(Start);
-      const LatencySet &S = FLM.get(X, Y);
-      Start += static_cast<uint32_t>(S.size() -
-                                     S.countBelow(lowestCanonical(X, Y)));
+      CellStart.push_back(static_cast<uint32_t>(Latencies.size()));
+      appendCanonical(FLM, X, Y, Latencies);
     }
-  assert(Start == Latencies.size() && "cell counts disagree with the list");
 }
 
 uint32_t CanonicalLatencyIndex::indexOf(const ForbiddenLatency &L) const {

@@ -90,7 +90,8 @@ public:
   /// Number of canonical constraints (see ForbiddenLatency).
   size_t canonicalCount() const;
 
-  /// Lists every canonical constraint in sorted order.
+  /// Lists every canonical constraint in sorted (After, Before, Latency)
+  /// order.
   std::vector<ForbiddenLatency> canonicalLatencies() const;
 
   /// Largest |latency| present anywhere in the matrix (0 if empty).
@@ -117,10 +118,16 @@ private:
   std::vector<LatencySet> Sets;
 };
 
+/// The smallest canonical latency of cell F(X, Y): the members of F(X, Y)
+/// at or above it are the cell's canonical latencies (see
+/// ForbiddenLatency). A zero latency between distinct operations is
+/// canonical only in the X < Y cell.
+inline int lowestCanonical(OpId X, OpId Y) { return X <= Y ? 0 : 1; }
+
 /// Returns the canonical form of the constraint "X cannot issue f cycles
 /// after Y" (see ForbiddenLatency).
 inline ForbiddenLatency canonicalize(OpId X, OpId Y, int F) {
-  if (F > 0 || (F == 0 && X <= Y))
+  if (F >= lowestCanonical(X, Y))
     return ForbiddenLatency{X, Y, F};
   return ForbiddenLatency{Y, X, -F};
 }

@@ -41,10 +41,10 @@ MatrixDiff rmd::diffMatrices(const MachineDescription &A,
     for (const auto &[YA, YB] : Common) {
       const std::string &XName = A.operation(XA).Name;
       const std::string &YName = A.operation(YA).Name;
-      // Canonical triple filter, mirroring ForbiddenLatencyMatrix: f > 0
-      // always; f == 0 only when X <= Y by id in A (a stable, arbitrary
-      // orientation).
-      auto Keep = [&](int F) { return F > 0 || (F == 0 && XA <= YA); };
+      // Canonical triples only, oriented by the operation ids in A (a
+      // stable, arbitrary orientation).
+      int Lowest = lowestCanonical(XA, YA);
+      auto Keep = [&](int F) { return F >= Lowest; };
       for (int F : FA.get(XA, YA))
         if (Keep(F) && !FB.isForbidden(XB, YB, F))
           Diff.Removed.push_back(LatencyChange{XName, YName, F});

@@ -453,7 +453,9 @@ public:
     for (size_t X = 0; X < N; ++X) {
       // Row = cell (X, Y) for every Y at once, word-major too. It depends
       // only on X's cycles, so an operation with the same cycles as the
-      // previous one (often all of a resource's operations) reuses it. A
+      // previous one reuses it: half the operations on cydra5 and over 90%
+      // on the larger ScaledVliw configs, whose prune is ~20% slower
+      // without the reuse (docs/architecture.md, "Prune."). A
       // shift by c is c / 64 whole words and a bit shift Bits < 64; the
       // word above comes in as (Hi << 1) << (63 - Bits), which is 0 when
       // Bits is 0, so no word is shifted by 64 or more.
